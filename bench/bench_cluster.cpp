@@ -11,14 +11,13 @@
  * byte-identical for every --cluster-workers count, both --event-queue
  * implementations, and --data-plane off|verify.
  *
- * Worker scaling on few-core machines is reported as a critical-path
- * projection: each epoch's measured per-array advance times are
- * LPT-packed into W bins (plus the run's measured serial barrier time),
- * giving the wall clock a W-worker run would need. The projection rides
- * in the --json record's cluster_scaling block; it never affects the
- * table.
+ * Worker scaling is measured, not projected: every trial times its
+ * epoch loop and splits it, through the runner's wall probe, into each
+ * worker's advance time, the parallel rounds and the serial barrier
+ * gaps. Run the sweep at --cluster-workers 1 and W to read the speedup
+ * off the two records. The numbers ride in the --json record's
+ * cluster_scaling block; they never affect the table.
  */
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -31,51 +30,14 @@ namespace {
 
 using namespace declust;
 
-/** Per-k payload the projection needs after the sweep finishes. */
+/** Per-k host-time record the JSON block reports after the sweep. */
 struct ScalingSample
 {
     int k = 0;
-    /** Row-major per-(epoch, array) advance wall seconds. */
-    std::vector<double> wall;
-    int epochs = 0;
-    int arrays = 0;
-    /** Whole-trial wall clock (advance + serial barrier work). */
-    double trialWallSec = 0.0;
+    /** Epoch-loop wall clock (advance rounds + serial barrier work). */
+    double loopWallSec = 0.0;
+    ClusterWallBreakdown wall;
 };
-
-/**
- * Wall clock a W-worker run would need: per epoch, LPT-pack the
- * per-array advance times into W bins and charge the largest bin; add
- * the measured serial (barrier/router) time, which no worker count
- * removes. W >= arrays degenerates to sum-of-epoch-maxima.
- */
-double
-projectedWallSec(const ScalingSample &s, int workers)
-{
-    double advance = 0.0;
-    std::vector<double> bins(static_cast<std::size_t>(workers));
-    std::vector<double> epoch(static_cast<std::size_t>(s.arrays));
-    double measuredAdvance = 0.0;
-    for (int e = 0; e < s.epochs; ++e) {
-        const auto base = static_cast<std::size_t>(e) *
-                          static_cast<std::size_t>(s.arrays);
-        epoch.assign(s.wall.begin() + static_cast<std::ptrdiff_t>(base),
-                     s.wall.begin() +
-                         static_cast<std::ptrdiff_t>(base) + s.arrays);
-        std::sort(epoch.rbegin(), epoch.rend());
-        std::fill(bins.begin(), bins.end(), 0.0);
-        for (const double t : epoch) {
-            measuredAdvance += t;
-            *std::min_element(bins.begin(), bins.end()) += t;
-        }
-        advance += *std::max_element(bins.begin(), bins.end());
-    }
-    // Serial residue: everything the trial spent outside array
-    // advances (routing, census, merge) stays serial at any W.
-    const double serial =
-        std::max(s.trialWallSec - measuredAdvance, 0.0);
-    return serial + advance;
-}
 
 } // namespace
 
@@ -168,19 +130,16 @@ run(int argc, char **argv)
                 scheduleFailureBurst(runner, k, warmup);
             // The scaling sample times the epoch loop only: topology
             // construction (layout tables, the router's alias table) is
-            // one-time setup, not sustained serving, and would otherwise
-            // be charged to the serial residue of the projection.
-            const auto trialStart = std::chrono::steady_clock::now();
-            const ClusterResult res = runner.run(warmup, measure);
+            // one-time setup, not sustained serving.
+            const auto loopStart = std::chrono::steady_clock::now();
+            ClusterResult res = runner.run(warmup, measure);
 
             slot->k = k;
-            slot->wall = res.epochArrayWallSec;
-            slot->epochs = res.totalEpochs;
-            slot->arrays = res.arrays;
-            slot->trialWallSec = std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() -
-                                     trialStart)
-                                     .count();
+            slot->loopWallSec = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    loopStart)
+                                    .count();
+            slot->wall = std::move(res.wall);
 
             TrialResult out;
             out.rows.push_back(
@@ -212,21 +171,23 @@ run(int argc, char **argv)
               << "\n";
     emit(opts, table);
 
-    // Worker-scaling projection (see file header); JSON-only so the
-    // table stays byte-identical across machines and worker counts.
+    // Measured worker scaling (see file header); JSON-only so the table
+    // stays byte-identical across machines and worker counts.
     JsonObject scalingJson;
     for (const ScalingSample &s : scaling) {
-        if (s.wall.empty())
-            continue;
+        const ClusterWallBreakdown &w = s.wall;
+        double busy = 0.0;
+        for (const double a : w.advanceSec)
+            busy += a;
+        const double capacity =
+            w.roundSec * static_cast<double>(w.advanceSec.size());
         JsonObject entry;
-        const double w1 = projectedWallSec(s, 1);
-        entry.set("measured_wall_sec", s.trialWallSec);
-        for (const int w : {1, 2, 4, 8}) {
-            entry.set("projected_wall_sec_w" + std::to_string(w),
-                      projectedWallSec(s, w));
-        }
-        entry.set("projected_speedup_w8_vs_w1",
-                  w1 > 0.0 ? w1 / projectedWallSec(s, 8) : 0.0);
+        entry.set("workers", static_cast<int>(w.advanceSec.size()));
+        entry.set("loop_wall_sec", s.loopWallSec);
+        entry.set("round_sec", w.roundSec);
+        entry.set("barrier_sec", w.barrierSec);
+        entry.set("advance_sec", w.advanceSec);
+        entry.set("idle_frac", capacity > 0.0 ? 1.0 - busy / capacity : 0.0);
         scalingJson.set("k_" + std::to_string(s.k), std::move(entry));
     }
     writeJsonRecord(opts, "bench_cluster", outcome, "cluster_scaling",

@@ -4,14 +4,14 @@
  *
  * The cluster layer advances every array's private event core in
  * lock-step epochs; the ONLY state that crosses an array boundary is
- * collected here, at the barrier, by the serial coordinator. Two kinds:
+ * collected here, and read across arrays only at a barrier. Two kinds:
  *
- *   ArrayCensus     a point-in-time snapshot of one array taken at a
- *                   barrier (degraded? rebuilding? queue depth?). The
- *                   router reads the previous barrier's census when
- *                   routing the next epoch, so routing decisions are a
- *                   pure function of (seed, epoch) — never of worker
- *                   interleaving.
+ *   ArrayCensus     a point-in-time snapshot of one array taken at the
+ *                   end of its epoch (degraded? rebuilding? queue
+ *                   depth?). The router reads the previous epoch's
+ *                   census when routing the next epoch, so routing
+ *                   decisions are a pure function of (seed, epoch) —
+ *                   never of worker interleaving.
  *   ClusterCounters per-array counters accumulated over the whole run
  *                   and folded across arrays in index order at the end
  *                   (the same determinism contract as

@@ -50,6 +50,9 @@ RequestRouter::RequestRouter(const ClusterConfig &config,
         DECLUST_ASSERT(units <= dataUnits_, "size class of ", units,
                        " units exceeds the array's ", dataUnits_,
                        " data units");
+    drawn_.reserve(static_cast<std::size_t>(config_.requestsPerSec *
+                                            config_.epochSec) +
+                   64);
 }
 
 RequestRouter::Placement
@@ -116,6 +119,15 @@ RequestRouter::route(Tick epochStart, Tick epochEnd,
                      std::vector<std::vector<Arrival>> &out,
                      std::vector<ClusterCounters> &counters)
 {
+    draw(epochStart, epochEnd);
+    assign(census, out, counters);
+}
+
+void
+RequestRouter::draw(Tick epochStart, Tick epochEnd)
+{
+    DECLUST_ASSERT(drawn_.empty(), "draw() before the last epoch was "
+                                   "assigned");
     if (!primed_) {
         nextArrival_ =
             epochStart + secToTicks(rng_.exponential(meanGapSec_));
@@ -124,13 +136,27 @@ RequestRouter::route(Tick epochStart, Tick epochEnd,
     while (nextArrival_ < epochEnd) {
         const std::int64_t object = zipf_.sample(rng_);
         const bool isRead = rng_.bernoulli(config_.readFraction);
+        DECLUST_ANALYZE_SUPPRESS(
+            "hot-path-growth: drawn_ is pre-sized in the constructor to a "
+            "full epoch's arrivals; it only grows past that on a burst, "
+            "and then keeps the capacity");
+        drawn_.push_back({nextArrival_, place(object), isRead});
+        nextArrival_ += secToTicks(rng_.exponential(meanGapSec_));
+    }
+}
 
-        const Placement p = place(object);
+void
+RequestRouter::assign(const std::vector<ArrayCensus> &census,
+                      std::vector<std::vector<Arrival>> &out,
+                      std::vector<ClusterCounters> &counters)
+{
+    for (const Drawn &d : drawn_) {
+        const Placement &p = d.placement;
         int target = p.primary;
         // Slow-array avoidance: reads steer to the replica while the
         // primary repairs or is flagged gray. Writes stay put — the
         // primary copy is authoritative.
-        if (config_.avoidImpaired && isRead && p.replica != p.primary &&
+        if (config_.avoidImpaired && d.isRead && p.replica != p.primary &&
             census[static_cast<std::size_t>(p.primary)].impaired() &&
             !census[static_cast<std::size_t>(p.replica)].impaired()) {
             target = p.replica;
@@ -140,18 +166,17 @@ RequestRouter::route(Tick epochStart, Tick epochEnd,
         counters[static_cast<std::size_t>(target)].routed++;
 
         Arrival a;
-        a.when = nextArrival_;
+        a.when = d.when;
         a.firstUnit = p.firstUnit;
         a.units = p.units;
-        a.isRead = isRead;
+        a.isRead = d.isRead;
         DECLUST_ANALYZE_SUPPRESS(
             "hot-path-growth: buffers are pre-sized by "
-            "ClusterRunner::reserveBuffers to a full epoch's arrivals; "
+            "ClusterRunner::run to a full epoch's arrivals; "
             "steady-state pushes never reallocate");
         out[static_cast<std::size_t>(target)].push_back(a);
-
-        nextArrival_ += secToTicks(rng_.exponential(meanGapSec_));
     }
+    drawn_.clear();
 }
 
 } // namespace declust

@@ -10,12 +10,15 @@
  * (Poisson) at a cluster-wide rate; popularity follows Zipf(alpha) over
  * the object population (workload/zipf.hpp).
  *
- * The router runs SERIALLY at each epoch barrier: it pre-generates the
- * whole epoch's arrivals from one RNG stream, steering reads away from
- * impaired primaries using the PREVIOUS barrier's census. Routing is
- * therefore a pure function of (seed, epoch) — worker threads advancing
- * the arrays never touch it, which is what makes cluster output
- * byte-identical at any --cluster-workers count.
+ * Routing an epoch is two steps. draw() generates the whole epoch's
+ * arrivals — times, objects, placements — from one RNG stream; it needs
+ * no cluster state, so the runner draws the next epoch while the
+ * arrays advance the current one. assign() then steers the drawn reads
+ * away from impaired primaries using the census of the epoch just
+ * finished, serially at the barrier. The router is only ever used by
+ * one thread at a time and its RNG is consumed epoch by epoch in order,
+ * so routing is a pure function of (seed, epoch) — which is what makes
+ * cluster output byte-identical at any --cluster-workers count.
  */
 #pragma once
 
@@ -57,16 +60,33 @@ class RequestRouter
     /**
      * Generate every arrival in [epochStart, epochEnd) into the
      * per-array buffers @p out (out[i] is appended to, not cleared),
-     * charging routing counters in @p counters. @p census is the
-     * previous barrier's snapshot; reads whose primary is impaired are
-     * redirected to their replica when the replica is healthy and
-     * avoidance is enabled. Serial — call only at a barrier.
+     * charging routing counters in @p counters: draw() then assign().
      */
     DECLUST_HOT_PATH
     void route(Tick epochStart, Tick epochEnd,
                const std::vector<ArrayCensus> &census,
                std::vector<std::vector<Arrival>> &out,
                std::vector<ClusterCounters> &counters);
+
+    /**
+     * Draw every arrival in [epochStart, epochEnd) — time, object,
+     * placement, read or write — and hold them for assign(). Epochs
+     * must be drawn in order, each assigned before the next is drawn.
+     */
+    DECLUST_HOT_PATH
+    void draw(Tick epochStart, Tick epochEnd);
+
+    /**
+     * Route the drawn epoch into @p out (appended to, not cleared),
+     * charging routing counters in @p counters. @p census is the
+     * previous epoch's snapshot; reads whose primary is impaired are
+     * redirected to their replica when the replica is healthy and
+     * avoidance is enabled.
+     */
+    DECLUST_HOT_PATH
+    void assign(const std::vector<ArrayCensus> &census,
+                std::vector<std::vector<Arrival>> &out,
+                std::vector<ClusterCounters> &counters);
 
     /** Primary array for @p object (placement hash, test hook). */
     int primaryArray(std::int64_t object) const;
@@ -97,6 +117,15 @@ class RequestRouter
      * serially at the barrier for every arrival in the epoch.
      */
     Placement place(std::int64_t object) const;
+
+    /** One drawn arrival, waiting for assign() to pick its array. */
+    struct Drawn
+    {
+        Tick when;
+        Placement placement;
+        bool isRead;
+    };
+
     /** Copied, not referenced: callers may pass a temporary config. */
     ClusterConfig config_;
     std::int64_t dataUnits_;
@@ -110,6 +139,8 @@ class RequestRouter
      * Poisson process is continuous through barriers). */
     Tick nextArrival_ = 0;
     bool primed_ = false;
+    /** The drawn, not yet assigned epoch. */
+    std::vector<Drawn> drawn_;
 };
 
 } // namespace declust

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "array/controller.hpp"
 #include "cluster/census.hpp"
@@ -9,6 +10,7 @@
 #include "cluster/topology.hpp"
 #include "core/array_sim.hpp"
 #include "core/reconstructor.hpp"
+#include "harness/worker_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "stats/shard_merge.hpp"
@@ -31,15 +33,23 @@ ClusterRunner::ClusterRunner(const ClusterConfig &config, int workers)
     : config_(config),
       topology_(config),
       router_(config, topology_.dataUnitsPerArray()),
-      pool_(workers)
+      workers_(resolveWorkers(workers)),
+      slots_(static_cast<std::size_t>(topology_.arrays()))
 {
     const auto n = static_cast<std::size_t>(topology_.arrays());
     buffers_.resize(n);
     census_.resize(n);
     counters_.resize(n);
-    pendingFail_.assign(n, -1);
-    rebuildCounted_.assign(n, false);
+    // Workers beyond the array count would own nothing; the pool only
+    // spawns helpers for workers that do.
+    const int active = std::min(workers_, topology_.arrays());
+    errors_.resize(static_cast<std::size_t>(active));
+    if (active > 1)
+        pool_ = std::make_unique<WorkerPool>(active);
 }
+
+// Out of line: joins the pool's helpers before the topology goes.
+ClusterRunner::~ClusterRunner() = default;
 
 void
 ClusterRunner::scheduleRebuild(int array, double atSec, int disk)
@@ -57,21 +67,63 @@ ClusterRunner::scheduleRebuild(int array, double atSec, int disk)
     planned_.push_back(p);
 }
 
-void
-ClusterRunner::advanceArray(int i, Tick epochEnd, double *wallSlot)
+bool
+ClusterRunner::claim(int i)
 {
-    const double t0 = wallSlot ? wallProbe_() : 0.0;
-    ArraySimulation &sim = topology_.array(static_cast<int>(i));
+    std::uint32_t expected = round_;
+    return slots_[static_cast<std::size_t>(i)].claims.compare_exchange_strong(
+        expected, round_ + 1, std::memory_order_acq_rel);
+}
+
+void
+ClusterRunner::runWorker(int w)
+{
+    const int n = topology_.arrays();
+    const int stride = std::min(workers_, n);
+    int i = w;
+    try {
+        // Worker 0 first draws the next epoch's arrivals: they need no
+        // cluster state, so only their steering stays on the serial path.
+        if (w == 0 && drawNext_)
+            router_.draw(epochEnd_, epochEnd_ + epochTicks_);
+        // Own arrays, front to back.
+        for (; i < n; i += stride)
+            if (claim(i))
+                advanceArray(i, w);
+        // Then help: the other owners' unstarted arrays, back to front,
+        // so an owner and its helpers meet in the middle of its list.
+        for (int k = 1; k < stride; ++k) {
+            const int owner = (w + k) % stride;
+            for (i = owner + (n - 1 - owner) / stride * stride; i >= owner;
+                 i -= stride)
+                if (claim(i))
+                    advanceArray(i, w);
+        }
+    } catch (...) {
+        errors_[static_cast<std::size_t>(w)] = {i, std::current_exception()};
+    }
+}
+
+void
+ClusterRunner::advanceArray(int i, int w)
+{
+    const auto s = static_cast<std::size_t>(i);
+    ArraySlot &slot = slots_[s];
+    if (wallProbe_) {
+        slot.worker = w;
+        slot.start = wallProbe_();
+    }
+    ArraySimulation &sim = topology_.array(i);
     EventQueue &eq = sim.eventQueue();
 
-    if (pendingFail_[static_cast<std::size_t>(i)] >= 0) {
-        sim.failDiskForRebuild(pendingFail_[static_cast<std::size_t>(i)]);
+    if (slot.pendingFail >= 0) {
+        sim.failDiskForRebuild(slot.pendingFail);
         sim.beginRebuild();
-        pendingFail_[static_cast<std::size_t>(i)] = -1;
+        slot.pendingFail = -1;
     }
 
     ArrayController &ctl = sim.controller();
-    auto &buf = buffers_[static_cast<std::size_t>(i)];
+    auto &buf = buffers_[s];
     for (const Arrival &a : buf) {
         // A repair drain can leave this array's clock past an arrival
         // tick; the request then queues behind the drain (what a real
@@ -91,9 +143,43 @@ ClusterRunner::advanceArray(int i, Tick epochEnd, double *wallSlot)
     }
     buf.clear();
 
-    eq.runUntil(epochEnd);
-    if (wallSlot)
-        *wallSlot = wallProbe_() - t0;
+    eq.runUntil(epochEnd_);
+
+    // Census and its counter fold read and write only this array's
+    // state, so the advancing worker takes them here instead of the
+    // coordinator taking all of them serially at the barrier.
+    ArrayCensus &c = census_[s];
+    c = topology_.snapshot(i);
+    ClusterCounters &k = counters_[s];
+    k.degradedEpochs += c.degraded ? 1 : 0;
+    k.rebuildingEpochs += c.rebuilding ? 1 : 0;
+    if (c.queueDepth > k.maxQueueDepth)
+        k.maxQueueDepth = c.queueDepth;
+    const ReconReport *r = sim.rebuildReport();
+    if (r && !slot.rebuildCounted) {
+        slot.rebuildCounted = true;
+        k.rebuildsCompleted++;
+        k.rebuiltUnits += r->cycles;
+    }
+    if (wallProbe_)
+        slot.end = wallProbe_();
+}
+
+void
+ClusterRunner::collectWalls(ClusterWallBreakdown &out)
+{
+    double first = slots_[0].start;
+    double last = slots_[0].end;
+    for (const ArraySlot &slot : slots_) {
+        out.advanceSec[static_cast<std::size_t>(slot.worker)] +=
+            slot.end - slot.start;
+        first = std::min(first, slot.start);
+        last = std::max(last, slot.end);
+    }
+    out.roundSec += last - first;
+    if (lastRoundEnd_ >= 0.0)
+        out.barrierSec += first - lastRoundEnd_;
+    lastRoundEnd_ = last;
 }
 
 std::uint64_t
@@ -114,7 +200,7 @@ ClusterRunner::run(double warmupSec, double measureSec)
     ran_ = true;
 
     const int n = topology_.arrays();
-    const Tick epochTicks = secToTicks(config_.epochSec);
+    epochTicks_ = secToTicks(config_.epochSec);
     const int warmupEpochs =
         warmupSec > 0 ? epochsFor(warmupSec, config_.epochSec) : 0;
     const int measureEpochs = epochsFor(measureSec, config_.epochSec);
@@ -130,15 +216,17 @@ ClusterRunner::run(double warmupSec, double measureSec)
     for (auto &b : buffers_)
         b.reserve(perEpoch);
 
-    std::vector<double> wall;
+    ClusterResult res;
+    const int active = std::min(workers_, n);
     if (wallProbe_)
-        wall.assign(static_cast<std::size_t>(totalEpochs) *
-                        static_cast<std::size_t>(n),
-                    0.0);
+        res.wall.advanceSec.assign(static_cast<std::size_t>(active), 0.0);
 
     std::uint64_t eventsAtMeasureStart = 0;
     std::vector<HedgeStats> hedgeAtMeasureStart(
         static_cast<std::size_t>(n));
+    // Built once: the round body is the same every epoch.
+    const std::function<void(int)> round = [this](int w) { runWorker(w); };
+    router_.draw(0, epochTicks_);
 
     for (int e = 0; e < totalEpochs; ++e) {
         // ---- barrier: serial coordinator work -----------------------
@@ -158,47 +246,40 @@ ClusterRunner::run(double warmupSec, double measureSec)
         }
         for (const PlannedRebuild &p : planned_) {
             if (p.epoch == e) {
-                pendingFail_[static_cast<std::size_t>(p.array)] = p.disk;
-                rebuildCounted_[static_cast<std::size_t>(p.array)] =
-                    false;
+                ArraySlot &slot = slots_[static_cast<std::size_t>(p.array)];
+                slot.pendingFail = p.disk;
+                slot.rebuildCounted = false;
             }
         }
-        const Tick epochStart = epochTicks * static_cast<Tick>(e);
-        const Tick epochEnd = epochTicks * static_cast<Tick>(e + 1);
-        // Routing runs serially against the PREVIOUS barrier's census:
+        epochEnd_ = epochTicks_ * static_cast<Tick>(e + 1);
+        drawNext_ = e + 1 < totalEpochs;
+        // Steering runs serially against the PREVIOUS epoch's census:
         // worker interleaving can never influence where a request goes.
-        router_.route(epochStart, epochEnd, census_, buffers_,
-                      counters_);
+        router_.assign(census_, buffers_, counters_);
 
-        // ---- parallel: advance every array to the horizon -----------
-        double *wallRow =
-            wallProbe_ ? &wall[static_cast<std::size_t>(e) *
-                               static_cast<std::size_t>(n)]
-                       : nullptr;
-        pool_.run(n, [this, epochEnd, wallRow](int i) {
-            advanceArray(i, epochEnd, wallRow ? wallRow + i : nullptr);
-        });
+        // ---- parallel: owners advance their arrays, then help ------
+        if (pool_)
+            pool_->runRound(active, round);
+        else
+            round(0);
+        ++round_;
 
-        // ---- barrier: census snapshot, index order ------------------
-        for (int i = 0; i < n; ++i) {
-            const auto s = static_cast<std::size_t>(i);
-            census_[s] = topology_.snapshot(i);
-            ClusterCounters &c = counters_[s];
-            c.degradedEpochs += census_[s].degraded ? 1 : 0;
-            c.rebuildingEpochs += census_[s].rebuilding ? 1 : 0;
-            if (census_[s].queueDepth > c.maxQueueDepth)
-                c.maxQueueDepth = census_[s].queueDepth;
-            const ReconReport *r = topology_.array(i).rebuildReport();
-            if (r && !rebuildCounted_[s]) {
-                rebuildCounted_[s] = true;
-                c.rebuildsCompleted++;
-                c.rebuiltUnits += r->cycles;
-            }
-        }
+        // Arrays fail independently, so the lowest failing index is the
+        // one a one-worker run meets first (a worker stops at its first
+        // failure, and every lower array of its list already ran): the
+        // error surfaced is the same at any worker count.
+        const WorkerError *firstError = nullptr;
+        for (const WorkerError &err : errors_)
+            if (err.array >= 0 &&
+                (!firstError || err.array < firstError->array))
+                firstError = &err;
+        if (firstError)
+            std::rethrow_exception(firstError->error);
+        if (wallProbe_)
+            collectWalls(res.wall);
     }
 
     // ---- final merge, array-index order -----------------------------
-    ClusterResult res;
     res.arrays = n;
     res.measuredEpochs = measureEpochs;
     res.totalEpochs = totalEpochs;
@@ -226,7 +307,6 @@ ClusterRunner::run(double warmupSec, double measureSec)
         static_cast<double>(res.phase.reads + res.phase.writes) /
         res.measuredSec;
     res.finalCensus = census_;
-    res.epochArrayWallSec = std::move(wall);
     return res;
 }
 

@@ -13,8 +13,9 @@
  * threads advance them.
  *
  * No state is shared between arrays outside the epoch barriers; the
- * barrier-time ArrayCensus snapshot (census.hpp) is the only
- * cross-array channel, and it is collected serially.
+ * ArrayCensus snapshot (census.hpp) is the only cross-array channel:
+ * each array's is taken at the end of its advance and read by the
+ * router only at the next barrier.
  */
 #pragma once
 
@@ -88,9 +89,9 @@ class ClusterTopology
     std::int64_t dataUnitsPerArray() const { return dataUnits_; }
 
     /**
-     * Barrier-time census of array @p i: repair state, gray-health
-     * verdicts, and queue depth. Called serially by the coordinator —
-     * never from a worker advancing the array.
+     * Census of array @p i: repair state, gray-health verdicts, and
+     * queue depth. Reads only array @p i, so the worker that just
+     * advanced the array takes it at the end of its advance.
      */
     ArrayCensus snapshot(int i) const;
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <iostream>
 #include <mutex>
-#include <thread>
 
 #include "harness/worker_pool.hpp"
 #include "sim/event_queue.hpp"
@@ -27,14 +26,7 @@ selectEventQueue(const std::string &name)
     return true;
 }
 
-TrialRunner::TrialRunner(int jobs)
-{
-    if (jobs <= 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        jobs = hw > 0 ? static_cast<int>(hw) : 1;
-    }
-    jobs_ = jobs;
-}
+TrialRunner::TrialRunner(int jobs) : jobs_(resolveWorkers(jobs)) {}
 
 TrialRunner::~TrialRunner() = default;
 
@@ -83,7 +75,6 @@ TrialRunner::runSharded(int numTrials, int shards,
     }
 
     std::atomic<int> next{0};
-    std::atomic<int> done{0};
     // Per-trial countdown: the worker that retires a trial's last shard
     // runs its merge. acq_rel on the decrement makes every shard's
     // writes visible to the merging worker.
@@ -91,10 +82,15 @@ TrialRunner::runSharded(int numTrials, int shards,
         static_cast<std::size_t>(numTrials));
     for (auto &r : remaining)
         r.store(shards, std::memory_order_relaxed);
-    std::mutex mu; // serializes onItemDone and first-error capture
+    // Serializes the finished count, onItemDone and first-error
+    // capture. Counting under the same lock as the callback keeps the
+    // reported counts strictly increasing: a count taken outside it
+    // could reach onItemDone after a later one.
+    std::mutex mu;
+    int done = 0;
     std::exception_ptr firstError;
 
-    auto worker = [&] {
+    auto worker = [&](int) {
         for (;;) {
             const int i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= total)
@@ -118,20 +114,18 @@ TrialRunner::runSharded(int numTrials, int shards,
                 next.store(total, std::memory_order_relaxed);
                 return;
             }
-            const int finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (onItemDone) {
                 std::lock_guard<std::mutex> lock(mu);
-                onItemDone(finished, total);
+                onItemDone(++done, total);
             }
         }
     };
 
     // The worker body claims items off the shared counter until the
     // grid is exhausted, so handing it to min(jobs, total) persistent
-    // workers is equivalent to the old spawn-per-call threads; the
-    // pool's round mutex provides the same happens-before edge join()
-    // did for the results the caller reads next.
+    // workers (the caller among them) is equivalent to spawning
+    // threads per call; the end of the round gives the caller the same
+    // happens-before edge join() would for the results it reads next.
     if (!pool_)
         pool_ = std::make_unique<WorkerPool>(jobs_);
     const int participants = jobs_ < total ? jobs_ : total;

@@ -45,11 +45,11 @@ class TrialRunner
   public:
     /**
      * @param jobs Worker threads; <= 0 selects the hardware thread
-     *        count. jobs == 1 never spawns a thread. Threads live in a
+     *        count. The calling thread is one of the jobs, so jobs == 1
+     *        never spawns a thread. The other jobs-1 threads live in a
      *        persistent WorkerPool created on the first parallel run
-     *        and reused across calls, so callers that enter parallel
-     *        sections at high frequency (the cluster layer's per-epoch
-     *        barriers) pay thread creation once, not per section.
+     *        and reused across calls, so thread creation is paid once,
+     *        not per call.
      */
     explicit TrialRunner(int jobs);
     ~TrialRunner();

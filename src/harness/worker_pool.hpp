@@ -1,68 +1,85 @@
 /**
  * @file
- * Persistent worker-thread pool for round-based parallel sections.
+ * Persistent worker pool for round-based parallel sections.
  *
- * TrialRunner historically spawned fresh std::threads for every sweep
- * call — fine when one sweep point runs for seconds, but the cluster
- * layer (src/cluster) enters a parallel section once per epoch barrier,
- * hundreds of times per run, where per-round thread creation would
- * dominate. WorkerPool keeps the threads alive across rounds: runRound
- * wakes the workers, each participating worker runs the round body once
- * (the body does its own work claiming, typically off a shared atomic
- * counter), and the caller blocks until every participant returns.
+ * The cluster layer (src/cluster) enters a parallel section once per
+ * epoch barrier — thousands of times per run, each round only tens of
+ * microseconds of work per worker — so the cost of starting and
+ * finishing a round is on the critical path of every epoch. WorkerPool
+ * keeps its threads alive across rounds and hands rounds over through
+ * one spin-then-park barrier:
  *
- * The pool is generation-stamped: workers sleep on a condition variable
- * between rounds, so an idle pool burns no CPU, and the mutex
- * acquire/release around round start and end gives the caller a
- * happens-before edge over everything the workers wrote — the same
- * visibility join() used to provide.
+ *  - The caller of runRound is worker 0 and runs its share of the round
+ *    itself; only workers 1..threads()-1 are helper threads. A W-worker
+ *    pool therefore owns W-1 threads, and no thread sits blocked while
+ *    the round runs.
+ *  - Round start is a generation counter, round end a countdown of
+ *    helpers still inside the body. A waiter spins on the atomic for a
+ *    short, time-bounded stretch (the gap between epochs is usually
+ *    shorter than a futex wake-up) and then parks on it with
+ *    std::atomic::wait, so an idle pool burns no CPU.
+ *  - Every body gets its worker index, so a caller can give each worker
+ *    a fixed share of the work (the cluster's fixed array owners)
+ *    instead of claiming items off a shared counter.
  *
- * Bodies MUST NOT throw (TrialRunner's round bodies catch everything
- * and stash the first exception themselves).
+ * The release/acquire pairs on the two counters give the caller a
+ * happens-before edge over everything the helpers wrote in the round,
+ * and give the helpers one over everything the caller wrote before it.
+ *
+ * Bodies MUST NOT throw (callers catch inside the body and rethrow on
+ * the calling thread, as TrialRunner and ClusterRunner do).
  */
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace declust {
 
-/** Fixed set of worker threads executing one round body at a time. */
+/** @p requested workers, or the hardware thread count when it is <= 0. */
+int resolveWorkers(int requested);
+
+/** Fixed set of workers executing one round body at a time. */
 class WorkerPool
 {
   public:
-    /** Spawns @p threads workers (>= 1) that idle until runRound. */
+    /**
+     * A pool of @p threads workers (>= 1): the runRound caller plus
+     * threads-1 helper threads, which idle until the first round.
+     */
     explicit WorkerPool(int threads);
-    /** Wakes and joins every worker. */
+    /** Wakes and joins every helper. */
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    int threads() const { return static_cast<int>(workers_.size()); }
+    /** Workers in the pool, the calling thread included. */
+    int threads() const { return static_cast<int>(helpers_.size()) + 1; }
 
     /**
-     * Run @p body once on each of the first @p participants workers
-     * (1 <= participants <= threads()), blocking until all return.
-     * @p body must be thread-safe and must not throw.
+     * Run body(w) once for every worker w in [0, participants)
+     * (1 <= participants <= threads()): w = 0 on the calling thread,
+     * the others on helpers. Returns when every participant has
+     * returned. @p body must be thread-safe and must not throw.
      */
-    void runRound(int participants, const std::function<void()> &body);
+    void runRound(int participants, const std::function<void(int)> &body);
 
   private:
-    void workerMain(int id);
+    void helperMain(int worker);
 
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable workCv_; ///< workers wait for a new round
-    std::condition_variable doneCv_; ///< caller waits for round end
-    std::uint64_t generation_ = 0;   ///< bumped once per round
+    std::vector<std::thread> helpers_;
+    /** Round being served; bumped by runRound to start one. Own cache
+     * line: helpers poll it while the caller writes the other one. */
+    alignas(64) std::atomic<std::uint32_t> generation_{0};
+    /** Helpers still running the current round's body. */
+    alignas(64) std::atomic<int> remaining_{0};
+    /** Round parameters, published by the generation_ release store. */
+    const std::function<void(int)> *body_ = nullptr;
     int participants_ = 0;
-    int remaining_ = 0;
-    const std::function<void()> *body_ = nullptr;
     bool stopping_ = false;
 };
 

@@ -6,14 +6,19 @@
  * small for the simulator's closures — nearly every scheduled event
  * captures an object pointer plus a continuation, so the old event queue
  * paid one malloc/free per event. EventCallback stores up to
- * kInlineCapacity bytes in place, covering every callback the simulator
- * schedules today; larger closures spill into a per-thread SlabPool
- * instead of malloc.
+ * kInlineCapacity bytes in place, which covers every callback the
+ * simulator schedules; a larger closure spills to the heap and counts
+ * as callbacks_spill_heap in the perf block, where a spilling hot path
+ * shows up (and the allocation-guard tests fail) instead of hiding in
+ * a pool.
+ *
+ * There is deliberately no per-thread spill pool: an array in a cluster
+ * can be advanced by more than one worker thread over a run, and a
+ * chunk freed into another thread's pool would outlive the thread that
+ * owns its memory.
  *
  * Move-only (events run once, continuations own their captures) and
- * thread-confined like the EventQueue that stores it: a callback must be
- * created, run, and destroyed on one thread. The TrialRunner harness
- * guarantees this by running each simulation wholly on one worker.
+ * thread-confined like the EventQueue that stores it.
  */
 #pragma once
 
@@ -22,46 +27,11 @@
 #include <type_traits>
 #include <utility>
 
-#include "sim/slab_pool.hpp"
 #include "stats/perf_counters.hpp"
 
 namespace declust {
 
-namespace detail {
-
-/** This thread's spill pool for size class @p size (64/128/256). */
-inline SlabPool &
-callbackSpillPool(std::size_t size)
-{
-    thread_local SlabPool pool64(64), pool128(128), pool256(256);
-    return size <= 64 ? pool64 : size <= 128 ? pool128 : pool256;
-}
-
-/** Allocate spill storage for an oversized callback. */
-inline void *
-callbackSpillAlloc(std::size_t size)
-{
-    if (size <= 256) {
-        DECLUST_PERF_INC(CallbackSpillPooled);
-        return callbackSpillPool(size).allocate();
-    }
-    DECLUST_PERF_INC(CallbackSpillHeap);
-    return ::operator new(size);
-}
-
-/** Release spill storage obtained from callbackSpillAlloc. */
-inline void
-callbackSpillFree(void *p, std::size_t size)
-{
-    if (size <= 256)
-        callbackSpillPool(size).deallocate(p);
-    else
-        ::operator delete(p);
-}
-
-} // namespace detail
-
-/** Move-only callable with a large inline buffer and pooled spill. */
+/** Move-only callable with a large inline buffer and heap spill. */
 class EventCallback
 {
   public:
@@ -84,9 +54,8 @@ class EventCallback
             ::new (static_cast<void *>(store_.inline_)) Fn(std::forward<F>(f));
             ops_ = inlineOps<Fn>();
         } else {
-            void *mem = detail::callbackSpillAlloc(sizeof(Fn));
-            ::new (mem) Fn(std::forward<F>(f));
-            store_.heap_ = mem;
+            DECLUST_PERF_INC(CallbackSpillHeap);
+            store_.heap_ = new Fn(std::forward<F>(f));
             ops_ = heapOps<Fn>();
         }
     }
@@ -162,9 +131,7 @@ class EventCallback
                 src.store_.heap_ = nullptr;
             },
             [](EventCallback &cb) noexcept {
-                auto *fn = static_cast<Fn *>(cb.store_.heap_);
-                fn->~Fn();
-                detail::callbackSpillFree(cb.store_.heap_, sizeof(Fn));
+                delete static_cast<Fn *>(cb.store_.heap_);
             },
         };
         return &ops;

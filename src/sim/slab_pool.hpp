@@ -1,16 +1,15 @@
 /**
  * @file
- * Fixed-chunk slab allocator for event-engine spill storage.
+ * Fixed-chunk slab allocator for the array's pooled objects.
  *
- * The event queue stores most callbacks inline (see callback.hpp); the
- * few that overflow the inline buffer land here instead of in malloc.
- * Chunks are carved out of large slabs and recycled through a free list,
- * so a simulation that churns millions of events performs a handful of
- * slab allocations total and every chunk reuse is two pointer writes.
+ * The controller's in-flight operations (IoOp) and deferred issues come
+ * from here instead of malloc. Chunks are carved out of large slabs and
+ * recycled through a free list, so a simulation that churns millions of
+ * operations performs a handful of slab allocations total and every
+ * chunk reuse is two pointer writes.
  *
- * A pool is intentionally NOT thread-safe: the simulator confines each
- * EventQueue (and everything scheduled on it) to one thread, and the
- * callback spill storage uses one set of thread_local pools per worker.
+ * A pool is intentionally NOT thread-safe: each pool belongs to one
+ * controller, and only the worker advancing that array touches it.
  *
  * Validation builds (-DDECLUST_VALIDATE=ON, see util/validate.hpp) add
  * lifetime checking that ASan cannot provide for pooled memory: every

@@ -49,7 +49,6 @@ namespace declust {
     X(IoOpSlabs, "io_op_pool_slabs")                                       \
     X(DeferredIssues, "deferred_issues")                                   \
     X(CallbackInline, "callbacks_inline")                                  \
-    X(CallbackSpillPooled, "callbacks_spill_pooled")                       \
     X(CallbackSpillHeap, "callbacks_spill_heap")                           \
     X(LockUncontended, "lock_acquires_uncontended")                        \
     X(LockContended, "lock_acquires_contended")                            \

@@ -336,8 +336,8 @@ TEST_P(AllocGuardReserveTest, ReservedQueueSchedulesWithoutAllocating)
 {
     EventQueue eq(GetParam());
     eq.reserve(512);
-    // Warm the thread-local callback spill pools separately: they are
-    // shared across queues and not part of the pending-set contract.
+    // Warm this thread's perf-counter block separately: it registers
+    // itself on first use and is not part of the pending-set contract.
     eq.scheduleIn(1, [] {});
     eq.runToCompletion();
 

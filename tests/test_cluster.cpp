@@ -12,6 +12,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/census.hpp"
@@ -137,6 +140,73 @@ TEST(Cluster, MeasuredWindowRoundsUpToWholeEpochs)
     const ClusterResult res = runner.run(0.0, 1.0); // 2.5 epochs -> 3
     EXPECT_EQ(res.measuredEpochs, 3);
     EXPECT_DOUBLE_EQ(res.measuredSec, 1.2);
+}
+
+TEST(Cluster, EveryWorkerCountMatchesTheSerialRun)
+{
+    // Two and three workers over four arrays exercise owners with
+    // unequal list lengths and helpers taking arrays off other owners'
+    // lists; five workers leave one with nothing to own.
+    const ClusterResult base =
+        runCluster(1, EventQueue::Impl::Calendar, 2);
+    for (const int workers : {2, 3, 4, 5})
+        expectIdentical(base,
+                        runCluster(workers, EventQueue::Impl::Calendar, 2));
+}
+
+TEST(Cluster, WallProbeSplitsTheLoopByWorker)
+{
+    // A fake clock that ticks once per call: the breakdown must account
+    // for every advance, whichever worker ran it.
+    std::atomic<long> clock{0};
+    ClusterRunner runner(smallCluster(), 3);
+    runner.setWallProbe(
+        [&clock] { return static_cast<double>(clock.fetch_add(1)); });
+    const ClusterResult res = runner.run(0.5, 1.0);
+    ASSERT_EQ(res.wall.advanceSec.size(), 3u);
+    // Every advance spans at least one tick of its own.
+    double busy = 0.0;
+    for (const double w : res.wall.advanceSec) {
+        EXPECT_LE(w, res.wall.roundSec);
+        busy += w;
+    }
+    EXPECT_GE(busy, static_cast<double>(res.totalEpochs * res.arrays));
+    EXPECT_GT(res.wall.barrierSec, 0.0);
+
+    // Without a probe the loop records nothing.
+    ClusterRunner quiet(smallCluster(), 3);
+    const ClusterResult none = quiet.run(0.5, 1.0);
+    EXPECT_TRUE(none.wall.advanceSec.empty());
+}
+
+TEST(Cluster, FailingAdvanceSurfacesTheSameErrorAtAnyWorkerCount)
+{
+    // Arrays 1 and 3 throw from inside their event cores at their first
+    // disk access past 1 s of virtual time. The run must surface the
+    // same error at every worker count: the one a serial run meets
+    // first (lowest failing array of the first failing epoch).
+    std::string serial;
+    for (const int workers : {1, 2, 4}) {
+        ClusterRunner runner(smallCluster(), workers);
+        for (const int i : {1, 3}) {
+            runner.topology().array(i).controller().setAccessTracer(
+                [i](const AccessRecord &r) {
+                    if (r.completed >= secToTicks(1.0))
+                        throw std::runtime_error("array " +
+                                                 std::to_string(i));
+                });
+        }
+        std::string message;
+        try {
+            runner.run(0.5, 2.0);
+        } catch (const std::runtime_error &e) {
+            message = e.what();
+        }
+        EXPECT_FALSE(message.empty()) << workers << " workers";
+        if (workers == 1)
+            serial = message;
+        EXPECT_EQ(message, serial) << workers << " workers";
+    }
 }
 
 TEST(Cluster, CountersMergeIsAssociative)

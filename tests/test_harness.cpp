@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/json_writer.hpp"
@@ -319,7 +321,7 @@ TEST(WorkerPool, RunsEveryRoundToCompletion)
     for (int round = 0; round < 200; ++round) {
         std::atomic<int> next{0};
         std::vector<int> hits(16, 0);
-        pool.runRound(4, [&next, &hits] {
+        pool.runRound(4, [&next, &hits](int) {
             for (;;) {
                 const int i =
                     next.fetch_add(1, std::memory_order_relaxed);
@@ -338,10 +340,67 @@ TEST(WorkerPool, PartialParticipationLeavesOthersIdle)
 {
     WorkerPool pool(4);
     std::atomic<int> ran{0};
-    pool.runRound(2, [&ran] { ran.fetch_add(1); });
+    std::atomic<int> workerMask{0};
+    const auto body = [&ran, &workerMask](int w) {
+        ran.fetch_add(1);
+        workerMask.fetch_or(1 << w);
+    };
+    pool.runRound(2, body);
     EXPECT_EQ(ran.load(), 2);
-    pool.runRound(4, [&ran] { ran.fetch_add(1); });
+    EXPECT_EQ(workerMask.load(), 0b11); // workers 0 and 1 only
+    pool.runRound(4, body);
     EXPECT_EQ(ran.load(), 6);
+    EXPECT_EQ(workerMask.load(), 0b1111);
+}
+
+TEST(WorkerPool, CallerIsWorkerZero)
+{
+    // A W-worker pool owns W-1 threads: worker 0 is the caller itself.
+    WorkerPool pool(3);
+    std::vector<std::thread::id> ids(3);
+    pool.runRound(3, [&ids](int w) {
+        ids[static_cast<std::size_t>(w)] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ids[0], std::this_thread::get_id());
+    EXPECT_NE(ids[1], ids[0]);
+    EXPECT_NE(ids[2], ids[0]);
+    EXPECT_NE(ids[1], ids[2]);
+
+    WorkerPool single(1);
+    std::thread::id ran;
+    single.runRound(1, [&ran](int) { ran = std::this_thread::get_id(); });
+    EXPECT_EQ(ran, std::this_thread::get_id());
+}
+
+TEST(WorkerPool, RoundsAfterHelpersParkStillRun)
+{
+    // Helpers spin briefly between rounds, then park on the round
+    // counter; a round issued after they parked must wake them all.
+    WorkerPool pool(4);
+    for (int round = 0; round < 3; ++round) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        std::atomic<int> ran{0};
+        pool.runRound(4, [&ran](int) { ran.fetch_add(1); });
+        ASSERT_EQ(ran.load(), 4);
+    }
+}
+
+TEST(WorkerPool, RoundWritesAreVisibleToTheCaller)
+{
+    // Plain (non-atomic) writes from every worker must be visible once
+    // runRound returns, and the caller's writes before the round must
+    // be visible inside it — the barrier is the only synchronization.
+    WorkerPool pool(4);
+    std::vector<long> slots(4, 0);
+    long seed = 0;
+    for (int round = 1; round <= 500; ++round) {
+        seed = round;
+        pool.runRound(4, [&slots, &seed](int w) {
+            slots[static_cast<std::size_t>(w)] = seed * 10 + w;
+        });
+        for (int w = 0; w < 4; ++w)
+            ASSERT_EQ(slots[static_cast<std::size_t>(w)], round * 10L + w);
+    }
 }
 
 TEST(TrialRunner, PoolIsReusedAcrossRuns)

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/join.hpp"
 #include "sim/rng.hpp"
 #include "sim/seed.hpp"
 #include "sim/serial_resource.hpp"
+#include "sim/slab_pool.hpp"
 #include "sim/time.hpp"
 #include "util/validate.hpp"
 
@@ -168,7 +168,7 @@ TEST(EventCallback, InlineAndSpilledCapturesBothRun)
     tiny();
     EXPECT_EQ(small, 1);
 
-    // Capture far beyond kInlineCapacity: spills to the slab pool.
+    // Capture far beyond kInlineCapacity: spills to the heap.
     struct Big
     {
         std::array<std::uint64_t, 32> payload;
@@ -357,29 +357,6 @@ TEST(SerialResource, UtilizationTracksBusyFraction)
     eq.scheduleAt(100, [] {});
     eq.runToCompletion();
     EXPECT_NEAR(res.utilization(), 0.25, 1e-9);
-}
-
-TEST(Join, FiresOnceAfterN)
-{
-    int fired = 0;
-    auto join = makeJoin(3, [&] { ++fired; });
-    join();
-    join();
-    EXPECT_EQ(fired, 0);
-    join();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(Join, OverfiringPanics)
-{
-    auto join = makeJoin(1, [] {});
-    join();
-    EXPECT_ANY_THROW(join());
-}
-
-TEST(Join, ZeroForksRejected)
-{
-    EXPECT_ANY_THROW(makeJoin(0, [] {}));
 }
 
 TEST(Seed, Splitmix64KnownValues)
