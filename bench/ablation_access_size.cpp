@@ -26,7 +26,7 @@ main(int argc, char **argv)
     opts.add("sizes", "1,2,4,8,16", "access sizes in 4 KB units");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

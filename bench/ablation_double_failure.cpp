@@ -34,7 +34,7 @@ main(int argc, char **argv)
     opts.add("mtbf-khours", "150", "per-disk MTBF in thousands of hours");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     opts.add("rate", "105", "user access rate");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

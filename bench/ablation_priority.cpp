@@ -25,7 +25,7 @@ main(int argc, char **argv)
     opts.add("g", "5", "parity stripe size");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

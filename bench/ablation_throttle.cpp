@@ -24,7 +24,7 @@ main(int argc, char **argv)
     opts.add("delays", "0,10,25,50,100", "per-cycle delays (ms)");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     opts.add("unit-sectors", "2,4,8,16,48", "unit sizes in 512 B sectors");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

@@ -8,8 +8,8 @@
  * tails while the remaining traffic routes around the repairs
  * (--scenario rolling staggers the k rebuilds; burst starts them at the
  * same instant). Output is a pure function of (config, seed):
- * byte-identical for every --cluster-workers count, both --event-queue
- * implementations, and --data-plane off|verify.
+ * byte-identical for every --cluster-workers count and --data-plane
+ * off|verify.
  *
  * Worker scaling is measured, not projected: every trial times its
  * epoch loop and splits it, through the runner's wall probe, into each
@@ -61,7 +61,7 @@ run(int argc, char **argv)
     opts.add("G", "6", "parity stripe size per array");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!applyEventQueueOption(opts))
+    if (!applyDataPlaneOption(opts))
         return 1;
 
     const std::string scenario = opts.getString("scenario");

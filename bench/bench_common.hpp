@@ -22,8 +22,8 @@
  *                  sub-seed, a proportional slice of the work), merged
  *                  deterministically in shard-index order. For a fixed
  *                  (seed, shards) the output is byte-identical at any
- *                  --jobs and either --event-queue; --shards 1 is the
- *                  identity and reproduces unsharded goldens exactly.
+ *                  --jobs; --shards 1 is the identity and reproduces
+ *                  unsharded goldens exactly.
  *
  * PD_FULL=1 in the environment selects the paper's full-scale disk
  * (equivalent to --tracks 14), trading minutes of wall-clock for
@@ -51,7 +51,6 @@
 #include "harness/json_writer.hpp"
 #include "harness/progress.hpp"
 #include "harness/trial_runner.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/seed.hpp"
 #include "sim/time.hpp"
 #include "stats/perf_counters.hpp"
@@ -82,10 +81,6 @@ addCommonOptions(Options &opts)
              "worker threads for the sweep (0 = hardware threads)");
     opts.add("json", "",
              "write a machine-readable run record to this file");
-    opts.add("event-queue", "",
-             std::string("event-queue implementation: heap | calendar "
-                         "(default: ") +
-                 EventQueue::implName(EventQueue::defaultImpl()) + ")");
     opts.add("data-plane", "off",
              "erasure-code data plane: off (value-level parity math "
              "only) | verify (real SIMD byte XOR cross-checked at every "
@@ -94,15 +89,14 @@ addCommonOptions(Options &opts)
 }
 
 /**
- * Apply --event-queue and --data-plane to their process-wide defaults.
- * Call right after opts.parse(), before any simulation is constructed.
- * Golden outputs are byte-identical under either event queue and under
- * data-plane off/verify (the determinism contract; verify changes no
+ * Apply --data-plane to its process-wide default. Call right after
+ * opts.parse(), before any simulation is constructed. Golden outputs
+ * are byte-identical under data-plane off/verify (verify changes no
  * simulated timing) — only wall-clock changes. @return false on an
  * unknown name.
  */
 inline bool
-applyEventQueueOption(const Options &opts)
+applyDataPlaneOption(const Options &opts)
 {
     const std::string plane = opts.getString("data-plane");
     ec::DataPlaneMode mode{};
@@ -112,7 +106,7 @@ applyEventQueueOption(const Options &opts)
         return false;
     }
     ec::selectDataPlane(mode);
-    return selectEventQueue(opts.getString("event-queue"));
+    return true;
 }
 
 /**
@@ -607,8 +601,6 @@ writeJsonRecord(const Options &opts, const std::string &benchName,
         return;
     JsonObject record;
     record.set("bench", benchName)
-        .set("event_queue",
-             EventQueue::implName(EventQueue::defaultImpl()))
         .set("data_plane",
              ec::dataPlaneModeName(ec::defaultDataPlaneMode()))
         .set("ec_tier", ec::tierName(ec::activeTier()))

@@ -5,26 +5,23 @@
  *
  * Two modes:
  *
- *  - Default: google-benchmark microbenchmarks, each registered once
- *    per event-queue implementation (heap and calendar) so the two can
- *    be compared at a glance.
+ *  - Default: google-benchmark microbenchmarks of schedule/dispatch
+ *    churn at several pending populations.
  *
- *  - --hold-sweep [--json FILE]: the classic "hold" model measured as a
- *    crossover experiment — keep a fixed population pending, repeatedly
- *    pop the earliest and schedule a replacement — swept over pending
- *    population (1k / 10k / 100k) x increment distribution (exponential
- *    and skewed-bimodal, the latter sending 10% of events far into the
- *    future to exercise the calendar's overflow ladder) x
- *    implementation. Every cell re-runs the identical deterministic
- *    schedule, and a per-cell checksum over the dispatched (when, seq)
- *    stream cross-checks that both implementations dispatched exactly
- *    the same events. This sweep is the measured basis for the default
- *    --event-queue choice (see EXPERIMENTS.md).
+ *  - --hold-sweep [--json FILE]: the classic "hold" model — keep a
+ *    fixed population pending, repeatedly pop the earliest and schedule
+ *    a replacement — swept over pending population (1k / 10k / 100k) x
+ *    increment distribution (exponential, and skewed-bimodal, which
+ *    sends 10% of events far into the future). Every cell runs a
+ *    deterministic schedule and reports ops/s plus a checksum over the
+ *    dispatched stream, so two builds can be compared for speed and
+ *    for dispatching exactly the same events (see EXPERIMENTS.md).
  */
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -56,10 +53,10 @@ struct DelayStream
 
 /** Hold model with a callback whose capture fits the 48-byte SBO. */
 void
-BM_HoldSmallCallback(benchmark::State &state, EventQueue::Impl impl)
+BM_HoldSmallCallback(benchmark::State &state)
 {
     const int depth = static_cast<int>(state.range(0));
-    EventQueue queue(impl);
+    EventQueue queue;
     queue.reserve(static_cast<std::size_t>(depth) + 1);
     DelayStream delays;
     std::uint64_t sink = 0;
@@ -71,22 +68,14 @@ BM_HoldSmallCallback(benchmark::State &state, EventQueue::Impl impl)
     }
     benchmark::DoNotOptimize(sink);
 }
-BENCHMARK_CAPTURE(BM_HoldSmallCallback, heap, EventQueue::Impl::Heap)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(16384);
-BENCHMARK_CAPTURE(BM_HoldSmallCallback, calendar,
-                  EventQueue::Impl::Calendar)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(16384);
+BENCHMARK(BM_HoldSmallCallback)->Arg(64)->Arg(1024)->Arg(16384);
 
 /** Same churn with a capture too large for the SBO: pooled spill path. */
 void
-BM_HoldSpillCallback(benchmark::State &state, EventQueue::Impl impl)
+BM_HoldSpillCallback(benchmark::State &state)
 {
     const int depth = static_cast<int>(state.range(0));
-    EventQueue queue(impl);
+    EventQueue queue;
     queue.reserve(static_cast<std::size_t>(depth) + 1);
     DelayStream delays;
     std::uint64_t sink = 0;
@@ -107,24 +96,16 @@ BM_HoldSpillCallback(benchmark::State &state, EventQueue::Impl impl)
     }
     benchmark::DoNotOptimize(sink);
 }
-BENCHMARK_CAPTURE(BM_HoldSpillCallback, heap, EventQueue::Impl::Heap)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(16384);
-BENCHMARK_CAPTURE(BM_HoldSpillCallback, calendar,
-                  EventQueue::Impl::Calendar)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(16384);
+BENCHMARK(BM_HoldSpillCallback)->Arg(64)->Arg(1024)->Arg(16384);
 
 /** Fill-then-drain: pure push/pop throughput without steady state. */
 void
-BM_FillDrain(benchmark::State &state, EventQueue::Impl impl)
+BM_FillDrain(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        EventQueue queue(impl);
+        EventQueue queue;
         DelayStream delays;
         for (int i = 0; i < n; ++i)
             queue.scheduleIn(delays.next(), [&sink] { ++sink; });
@@ -134,21 +115,16 @@ BM_FillDrain(benchmark::State &state, EventQueue::Impl impl)
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_FillDrain, heap, EventQueue::Impl::Heap)
-    ->Arg(1024)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_FillDrain, calendar, EventQueue::Impl::Calendar)
-    ->Arg(1024)
-    ->Arg(65536);
+BENCHMARK(BM_FillDrain)->Arg(1024)->Arg(65536);
 
 /** Same-tick FIFO burst: stresses the seq tie-break path. */
 void
-BM_SameTickBurst(benchmark::State &state, EventQueue::Impl impl)
+BM_SameTickBurst(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        EventQueue queue(impl);
+        EventQueue queue;
         for (int i = 0; i < n; ++i)
             queue.scheduleAt(1000, [&sink] { ++sink; });
         queue.runToCompletion();
@@ -157,13 +133,10 @@ BM_SameTickBurst(benchmark::State &state, EventQueue::Impl impl)
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_SameTickBurst, heap, EventQueue::Impl::Heap)
-    ->Arg(1024);
-BENCHMARK_CAPTURE(BM_SameTickBurst, calendar, EventQueue::Impl::Calendar)
-    ->Arg(1024);
+BENCHMARK(BM_SameTickBurst)->Arg(1024);
 
 // ---------------------------------------------------------------------
-// --hold-sweep: the crossover experiment.
+// --hold-sweep: the hold model across pending populations.
 
 /** Increment distributions for the hold model. */
 enum class HoldDist
@@ -198,14 +171,13 @@ struct HoldResult
 
 /**
  * Warm a queue to @p population, then time @p holdOps pop+push pairs.
- * The checksum folds every dispatched tick with the running op index,
- * so any cross-implementation divergence in dispatch order changes it.
+ * The checksum folds every dispatched tick in dispatch order, so any
+ * change in dispatch order between two builds changes it.
  */
 HoldResult
-runHold(EventQueue::Impl impl, int population, HoldDist dist,
-        std::uint64_t holdOps)
+runHold(int population, HoldDist dist, std::uint64_t holdOps)
 {
-    EventQueue queue(impl);
+    EventQueue queue;
     queue.reserve(static_cast<std::size_t>(population) + 1);
     Rng rng(0x601d + static_cast<std::uint64_t>(population));
     std::uint64_t checksum = 0;
@@ -242,58 +214,31 @@ runHoldSweep(const std::string &jsonPath)
     constexpr std::uint64_t kHoldOps = 2000000;
 
     JsonObject records;
-    bool checksumsMatch = true;
     std::cout << "hold model, " << kHoldOps << " ops per cell\n";
-    std::cout << "population  distribution     heap ops/s  calendar "
-                 "ops/s  calendar/heap\n";
+    std::cout << "population  distribution          ops/s  checksum\n";
     for (int population : populations) {
         for (HoldDist dist : dists) {
-            const HoldResult heap = runHold(EventQueue::Impl::Heap,
-                                            population, dist, kHoldOps);
-            const HoldResult calendar = runHold(
-                EventQueue::Impl::Calendar, population, dist, kHoldOps);
-            if (heap.checksum != calendar.checksum) {
-                checksumsMatch = false;
-                std::cerr << "DISPATCH STREAMS DIVERGED: population "
-                          << population << ", dist "
-                          << holdDistName(dist) << "\n";
-            }
-            const double ratio = heap.opsPerSec > 0.0
-                                     ? calendar.opsPerSec / heap.opsPerSec
-                                     : 0.0;
-            std::printf("%10d  %-15s  %10.0f  %14.0f  %13.2f\n",
-                        population, holdDistName(dist), heap.opsPerSec,
-                        calendar.opsPerSec, ratio);
-            for (EventQueue::Impl impl : {EventQueue::Impl::Heap,
-                                          EventQueue::Impl::Calendar}) {
-                const HoldResult &r =
-                    impl == EventQueue::Impl::Heap ? heap : calendar;
-                JsonObject cell;
-                cell.set("impl", EventQueue::implName(impl))
-                    .set("population", population)
-                    .set("distribution", holdDistName(dist))
-                    .set("hold_ops", kHoldOps)
-                    .set("wall_sec", r.wallSec)
-                    .set("ops_per_sec", r.opsPerSec)
-                    .set("checksum", r.checksum);
-                records.set(std::string(EventQueue::implName(impl)) +
-                                "_" + std::to_string(population) + "_" +
-                                holdDistName(dist),
-                            std::move(cell));
-            }
+            const HoldResult r = runHold(population, dist, kHoldOps);
+            std::printf("%10d  %-15s  %10.0f  %016llx\n", population,
+                        holdDistName(dist), r.opsPerSec,
+                        static_cast<unsigned long long>(r.checksum));
+            JsonObject cell;
+            cell.set("population", population)
+                .set("distribution", holdDistName(dist))
+                .set("hold_ops", kHoldOps)
+                .set("wall_sec", r.wallSec)
+                .set("ops_per_sec", r.opsPerSec)
+                .set("checksum", r.checksum);
+            records.set(std::to_string(population) + "_" +
+                            holdDistName(dist),
+                        std::move(cell));
         }
     }
-    if (!checksumsMatch) {
-        std::cerr << "hold sweep FAILED: implementations disagreed\n";
-        return 1;
-    }
-    std::cout << "all heap/calendar dispatch checksums match\n";
 
     if (!jsonPath.empty()) {
         JsonObject record;
         record.set("bench", "bench_event_queue_hold")
             .set("hold_ops", kHoldOps)
-            .set("checksums_match", std::int64_t{1})
             .set("records", std::move(records));
         std::ofstream file(jsonPath);
         if (!file) {

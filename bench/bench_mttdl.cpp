@@ -66,7 +66,7 @@ run(int argc, char **argv)
     addRobustnessOptions(opts);
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
     const int shards = shardsFrom(opts);
     if (!shards)

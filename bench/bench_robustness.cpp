@@ -13,8 +13,7 @@
  * they cost.
  *
  * Supports --shards / --jobs with the usual contract: output is a pure
- * function of (seed, shards), byte-identical at any worker count and
- * either --event-queue.
+ * function of (seed, shards), byte-identical at any worker count.
  */
 #include <iostream>
 
@@ -53,7 +52,7 @@ run(int argc, char **argv)
              "hedged-read deadlines (ms) to sweep; 0 = no hedging");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
     const int shards = shardsFrom(opts);
     if (!shards)

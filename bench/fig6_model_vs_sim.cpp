@@ -28,7 +28,7 @@ main(int argc, char **argv)
     opts.add("reads", "1.0", "read fraction");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
 
     const double warmup = opts.getDouble("warmup");

@@ -41,7 +41,7 @@ main(int argc, char **argv)
     addShardOption(opts);
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
     const int shards = shardsFrom(opts);
     if (!shards)

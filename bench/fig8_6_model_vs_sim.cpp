@@ -49,7 +49,7 @@ main(int argc, char **argv)
              "      bandwidth is used, i.e. maximally parallel sweep)");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
     const int shards = shardsFrom(opts);
     if (!shards)

@@ -47,7 +47,7 @@ main(int argc, char **argv)
                  "default so golden tables are unchanged)");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
     const int shards = shardsFrom(opts);
     if (!shards)

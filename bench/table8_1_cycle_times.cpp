@@ -44,7 +44,7 @@ main(int argc, char **argv)
     opts.add("rate", "210", "user access rate");
     if (!opts.parse(argc, argv))
         return 1;
-    if (!bench::applyEventQueueOption(opts))
+    if (!bench::applyDataPlaneOption(opts))
         return 1;
     const int shards = shardsFrom(opts);
     if (!shards)

@@ -33,8 +33,8 @@
  * Because every cross-array read happens serially at a barrier and
  * every per-array mutation happens inside that array's exclusive
  * advance, the whole run is a pure function of (config, seed):
- * byte-identical output for any --cluster-workers count, heap and
- * calendar queues, with or without the SIMD data plane.
+ * byte-identical output for any --cluster-workers count, with or
+ * without the SIMD data plane.
  *
  * Wall-clock instrumentation is injected (setWallProbe) so this layer
  * stays free of real-time dependencies; the probe is called once at

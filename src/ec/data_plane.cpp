@@ -1,5 +1,6 @@
 #include "ec/data_plane.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -17,6 +18,9 @@ std::atomic<DataPlaneMode> g_defaultMode{DataPlaneMode::Off};
 /** Rotation stride per 64-bit word of the expansion; coprime to 64 so
  * the 64 word rotations cycle through distinct alignments. */
 constexpr unsigned kRotStride = 29;
+
+/** Bytes after which the expansion repeats: 64 words of 8 bytes. */
+constexpr std::size_t kPeriodBytes = 64 * 8;
 
 } // namespace
 
@@ -71,11 +75,18 @@ DataPlane::DataPlane(DataPlaneMode mode, std::size_t unitBytes)
 void
 DataPlane::expandInto(std::uint8_t *dst, std::uint64_t v) const
 {
-    const std::size_t words = unitBytes_ / 8;
-    for (std::size_t i = 0; i < words; ++i) {
+    // Word i is rotl(v, (29 i) mod 64), which repeats every 64 words:
+    // build one period, then replicate it by doubling copies.
+    const std::size_t period = std::min(unitBytes_, kPeriodBytes);
+    for (std::size_t i = 0; i < period / 8; ++i) {
         const std::uint64_t w =
             std::rotl(v, static_cast<int>((i * kRotStride) & 63));
         std::memcpy(dst + i * 8, &w, 8);
+    }
+    for (std::size_t done = period; done < unitBytes_;) {
+        const std::size_t n = std::min(done, unitBytes_ - done);
+        std::memcpy(dst + done, dst, n);
+        done += n;
     }
 }
 

@@ -53,9 +53,9 @@ const char *dataPlaneModeName(DataPlaneMode mode);
 bool dataPlaneModeFromName(const std::string &name, DataPlaneMode *out);
 
 /** Process-wide default mode used by newly built simulations
- * (selectDataPlane; initially Off). Mirrors harness::selectEventQueue:
- * drivers set it once from --data-plane and every SimConfig picks it
- * up without per-driver plumbing. */
+ * (selectDataPlane; initially Off): benches set it once from
+ * --data-plane and every SimConfig picks it up without per-bench
+ * plumbing. */
 DataPlaneMode defaultDataPlaneMode();
 
 /** Set the process-wide default mode. */

@@ -2,29 +2,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iostream>
 #include <mutex>
 
 #include "harness/worker_pool.hpp"
-#include "sim/event_queue.hpp"
 #include "util/error.hpp"
 
 namespace declust {
-
-bool
-selectEventQueue(const std::string &name)
-{
-    if (name.empty())
-        return true;
-    EventQueue::Impl impl;
-    if (!EventQueue::parseImplName(name, &impl)) {
-        std::cerr << "unknown event-queue implementation '" << name
-                  << "' (expected: heap | calendar)\n";
-        return false;
-    }
-    EventQueue::setDefaultImpl(impl);
-    return true;
-}
 
 TrialRunner::TrialRunner(int jobs) : jobs_(resolveWorkers(jobs)) {}
 

@@ -22,22 +22,11 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace declust {
 
 class WorkerPool;
-
-/**
- * Select the process-wide event-queue implementation by name ("heap" |
- * "calendar"); an empty name keeps the built-in default. Call once at
- * startup, before any trial runs — every trial's default-constructed
- * EventQueue picks the implementation up from here, so one flag flips
- * the whole sweep without threading a parameter through every driver.
- * @return false (after printing to stderr) on an unknown name.
- */
-bool selectEventQueue(const std::string &name);
 
 /** Fans independent trials across worker threads. */
 class TrialRunner

@@ -1,9 +1,8 @@
 #include "sim/event_queue.hpp"
 
-#include <atomic>
 #include <utility>
 
-#include "sim/event_entry.hpp"
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 #include "util/annotations.hpp"
 #include "util/error.hpp"
@@ -11,66 +10,90 @@
 
 namespace declust {
 
-namespace {
-
-/**
- * Process-wide default implementation for default-constructed queues.
- * Written once at startup (flag parsing), read from worker threads;
- * relaxed atomics keep the read free and TSan-clean.
- *
- * The shipped default is the fig8-sweep winner — the calendar queue:
- * it beats the heap on fig8_recon_single (~+6% events/sec) and the
- * margin widens with pending population, to ~3x at 100k events in the
- * hold-model sweep (EXPERIMENTS.md has the crossover table).
- */
-std::atomic<EventQueue::Impl> g_defaultImpl{EventQueue::Impl::Calendar};
-
-} // namespace
-
-EventQueue::Impl
-EventQueue::defaultImpl()
-{
-    return g_defaultImpl.load(std::memory_order_relaxed);
-}
-
-void
-EventQueue::setDefaultImpl(Impl impl)
-{
-    g_defaultImpl.store(impl, std::memory_order_relaxed);
-}
-
-const char *
-EventQueue::implName(Impl impl)
-{
-    return impl == Impl::Heap ? "heap" : "calendar";
-}
-
-bool
-EventQueue::parseImplName(const std::string &name, Impl *out)
-{
-    if (name == "heap") {
-        *out = Impl::Heap;
-        return true;
-    }
-    if (name == "calendar") {
-        *out = Impl::Calendar;
-        return true;
-    }
-    return false;
-}
-
 void
 EventQueue::reserve(std::size_t expectedPending)
 {
-    if (impl_ == Impl::Heap) {
-        DECLUST_ANALYZE_SUPPRESS(
-            "hot-path-growth: this IS the pre-sizing hook");
-        heap_.reserve(expectedPending);
-    } else {
-        DECLUST_ANALYZE_SUPPRESS(
-            "hot-path-growth: this IS the pre-sizing hook");
-        calendar_.reserve(expectedPending);
+    DECLUST_ANALYZE_SUPPRESS("hot-path-growth: this IS the pre-sizing hook");
+    heap_.reserve(expectedPending);
+    DECLUST_ANALYZE_SUPPRESS("hot-path-growth: this IS the pre-sizing hook");
+    slots_.reserve(expectedPending);
+    DECLUST_ANALYZE_SUPPRESS("hot-path-growth: this IS the pre-sizing hook");
+    free_.reserve(expectedPending);
+}
+
+std::uint32_t
+EventQueue::acquireSlot(Callback &&cb)
+{
+    if (!free_.empty()) {
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        slots_[slot] = std::move(cb);
+        return slot;
     }
+    const auto slot = static_cast<std::uint32_t>(slots_.size());
+    DECLUST_ANALYZE_SUPPRESS(
+        "hot-path-growth: the pool only grows to the peak pending "
+        "population; steady state reuses freed slots");
+    slots_.push_back(std::move(cb));
+    if (free_.capacity() < slots_.capacity()) {
+        DECLUST_ANALYZE_SUPPRESS(
+            "hot-path-growth: keeps step()'s slot release from ever "
+            "reallocating");
+        free_.reserve(slots_.capacity());
+    }
+    return slot;
+}
+
+void
+EventQueue::push(Key key)
+{
+    // Hole-based sift-up: shift ancestors down until the insertion point
+    // is found, then place the key once.
+    std::size_t hole = heap_.size();
+    DECLUST_ANALYZE_SUPPRESS(
+        "hot-path-growth: heap capacity is retained across pops; steady state "
+        "never reallocates");
+    heap_.push_back(key);
+    Key *const h = heap_.data();
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / kArity;
+        if (!before(key, h[parent]))
+            break;
+        h[hole] = h[parent];
+        hole = parent;
+    }
+    h[hole] = key;
+}
+
+EventQueue::Key
+EventQueue::pop()
+{
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t size = heap_.size();
+    if (size == 0)
+        return top;
+    // Hole-based sift-down of the former last key from the root.
+    Key *const h = heap_.data();
+    std::size_t hole = 0;
+    for (;;) {
+        const std::size_t first = hole * kArity + 1;
+        if (first >= size)
+            break;
+        std::size_t best = first;
+        const std::size_t end = first + kArity < size ? first + kArity : size;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (before(h[c], h[best]))
+                best = c;
+        }
+        if (!before(h[best], last))
+            break;
+        h[hole] = h[best];
+        hole = best;
+    }
+    h[hole] = last;
+    return top;
 }
 
 void
@@ -90,14 +113,7 @@ EventQueue::scheduleAt(Tick when, Callback cb)
                              when, " < ", now_);
         when = now_;
     }
-    EventEntry entry;
-    entry.when = when;
-    entry.seq = nextSeq_++;
-    entry.cb = std::move(cb);
-    if (impl_ == Impl::Heap)
-        heap_.push(std::move(entry));
-    else
-        calendar_.push(now_, std::move(entry));
+    push(Key{when, nextSeq_++, acquireSlot(std::move(cb))});
 }
 
 void
@@ -109,22 +125,13 @@ EventQueue::scheduleIn(Tick delay, Callback cb)
 bool
 EventQueue::step()
 {
-    // The entry is moved out before execution so the callback can safely
-    // schedule further events (which may reallocate the pending set).
-    EventEntry top;
-    if (impl_ == Impl::Heap) {
-        if (heap_.empty())
-            return false;
-        top = heap_.popTop();
-    } else {
-        if (calendar_.empty())
-            return false;
-        top = calendar_.popTop(now_);
-    }
+    if (heap_.empty())
+        return false;
+    const Key top = pop();
 #if DECLUST_VALIDATE
     // The dispatch stream must be strictly (when, seq)-increasing: any
-    // violation means the pending set lost an ordering (ties no longer
-    // FIFO) or time ran backwards — either breaks byte-identical replay.
+    // violation means the heap lost an ordering (ties no longer FIFO) or
+    // time ran backwards — either breaks byte-identical replay.
     DECLUST_VALIDATE_CHECK(top.when >= now_,
                            "dispatching event (tick ", top.when, ", seq ",
                            top.seq, ") into the past: now is ", now_);
@@ -141,20 +148,23 @@ EventQueue::step()
 #endif
     now_ = top.when;
     ++executed_;
-    top.cb();
+    // Move the callback out and free its slot before running it: the
+    // callback may schedule further events, which may reuse the slot or
+    // grow the pool.
+    EventCallback cb = std::move(slots_[top.slot]);
+    DECLUST_ANALYZE_SUPPRESS(
+        "hot-path-growth: free_ capacity tracks the pool (acquireSlot), so "
+        "this never reallocates");
+    free_.push_back(top.slot);
+    cb();
     return true;
 }
 
 void
 EventQueue::runUntil(Tick until)
 {
-    if (impl_ == Impl::Heap) {
-        while (!heap_.empty() && heap_.topWhen() <= until)
-            step();
-    } else {
-        while (!calendar_.empty() && calendar_.topWhen(now_) <= until)
-            step();
-    }
+    while (!heap_.empty() && heap_.front().when <= until)
+        step();
     // No event before the horizon: idle time just passes.
     if (now_ < until)
         now_ = until;

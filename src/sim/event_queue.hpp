@@ -7,33 +7,25 @@
  * the lowest layer of the simulator, standing in for raidSim's event
  * core.
  *
- * EventQueue is a thin dispatch facade over two interchangeable
- * pending-set implementations selected at construction:
+ * The pending set is a 4-ary min-heap of small POD keys — (when, seq,
+ * slot), 24 bytes — over a pool of EventCallback slots with a free
+ * list. Sifts copy keys only; a callback is touched twice, moved into
+ * its slot on schedule and moved out on dispatch, so an event's 64-byte
+ * callback never travels through the heap. A node's four children are
+ * adjacent, which halves the depth of a binary heap for the same
+ * comparison count.
  *
- *  - Impl::Heap     — a 4-ary implicit heap (event_heap.hpp), O(log n)
- *                     per operation with a small constant.
- *  - Impl::Calendar — a Brown-style calendar queue with ladder-style
- *                     overflow spilling (event_calendar.hpp), O(1)
- *                     amortized; the measured winner at every tested
- *                     population, by ~6% on the figure benches up to
- *                     ~3x at 100k pending events (EXPERIMENTS.md), and
- *                     therefore the shipped default.
- *
- * Both honor the exact same ordering CONTRACT: strict (when, seq)
- * order — earliest tick first, FIFO among events scheduled for the same
- * tick. The facade owns the clock, the sequence counter, and the
- * validation audits, so every golden table is byte-identical whichever
- * implementation runs; the lockstep property test in
- * tests/test_event_queue.cpp pins the two dispatch streams together.
- * The process-wide default implementation (what the default constructor
- * selects) is set once at startup from the --event-queue flag
- * (bench_common.hpp / harness::selectEventQueue).
+ * The ordering CONTRACT is strict (when, seq) order: earliest tick
+ * first, FIFO among events scheduled for the same tick (seq is assigned
+ * in scheduling order). Every golden table depends on it;
+ * tests/test_event_queue.cpp checks randomized scripts against a sorted
+ * (when, seq) reference model.
  *
  * Callbacks are EventCallback (sim/callback.hpp): 48 bytes of inline
- * capture storage and pooled spill, so scheduling an event performs no
- * heap allocation in the common case; reserve() pre-sizes whichever
- * backing store is active so bring-up does not pay growth reallocations
- * either.
+ * capture storage, so scheduling an event performs no heap allocation
+ * in the common case; the heap, the slot pool and the free list keep
+ * their capacity, and reserve() pre-sizes all three so bring-up does
+ * not pay growth reallocations either.
  *
  * Validation builds (-DDECLUST_VALIDATE=ON) audit the contract at run
  * time: scheduling into the past is a fatal diagnostic rather than a
@@ -41,20 +33,15 @@
  * previously dispatched (when, seq) pair — a queue bug that reordered
  * same-tick events or ran an event before its scheduler panics at the
  * first out-of-order pop instead of silently skewing a published table.
- * The calendar implementation additionally audits its own structure
- * (bucket order, year membership, counts) after every rebuild.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <vector>
 
 #include "sim/callback.hpp"
-#include "sim/event_calendar.hpp"
-#include "sim/event_entry.hpp"
-#include "sim/event_heap.hpp"
 #include "sim/time.hpp"
 #include "util/annotations.hpp"
 #include "util/validate.hpp"
@@ -67,38 +54,9 @@ class EventQueue
   public:
     using Callback = EventCallback;
 
-    /** Pending-set implementation behind the facade. */
-    enum class Impl : std::uint8_t
-    {
-        Heap,     ///< 4-ary implicit heap, O(log n)
-        Calendar, ///< calendar queue + overflow ladder, O(1) amortized
-    };
-
-    /** Uses the process-wide default implementation. */
-    EventQueue() : EventQueue(defaultImpl()) {}
-    explicit EventQueue(Impl impl) : impl_(impl) {}
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /**
-     * Process-wide default for default-constructed queues. Set it once
-     * at startup (before any simulation threads exist); reads are
-     * lock-free and safe from TrialRunner workers.
-     */
-    static Impl defaultImpl();
-    static void setDefaultImpl(Impl impl);
-
-    /** "heap" / "calendar". */
-    static const char *implName(Impl impl);
-
-    /**
-     * Parse an implementation name ("heap" | "calendar").
-     * @return true and set @p out on success; false on unknown names.
-     */
-    static bool parseImplName(const std::string &name, Impl *out);
-
-    /** The implementation this queue dispatches to. */
-    Impl impl() const { return impl_; }
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -117,25 +75,16 @@ class EventQueue
     void scheduleIn(Tick delay, Callback cb);
 
     /** True if no events are pending. */
-    bool
-    empty() const
-    {
-        return impl_ == Impl::Heap ? heap_.empty() : calendar_.empty();
-    }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    size_t
-    pending() const
-    {
-        return impl_ == Impl::Heap ? heap_.size() : calendar_.size();
-    }
+    size_t pending() const { return heap_.size(); }
 
     /**
-     * Pre-size the pending set for an expected steady-state population
-     * so bring-up does not pay growth reallocations: reserves the heap
-     * vector, or carves the calendar's node slabs and bucket ring.
-     * Array bring-up (ArrayController) calls this with its queue-depth
-     * estimate.
+     * Pre-size the heap, the callback slots and the free list for an
+     * expected steady-state population so bring-up does not pay growth
+     * reallocations. Array bring-up (ArrayController) calls this with
+     * its queue-depth estimate.
      */
     void reserve(std::size_t expectedPending);
 
@@ -163,9 +112,41 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    Impl impl_;
-    HeapEventQueue heap_;
-    CalendarEventQueue calendar_;
+    /** Heap entry: dispatch order plus the slot holding the callback. */
+    struct Key
+    {
+        Tick when;
+        std::uint64_t seq; // tie-break: FIFO among same-tick events
+        std::uint32_t slot;
+    };
+
+    /** Strict (when, seq) order — the determinism contract. */
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.seq < b.seq;
+    }
+
+    /** Insert @p key: hole-based sift-up. */
+    DECLUST_HOT_PATH
+    void push(Key key);
+
+    /** Remove and return the minimum key. Requires !empty(). */
+    DECLUST_HOT_PATH
+    Key pop();
+
+    /** Park @p cb in a free slot (growing the pool if none is free). */
+    std::uint32_t acquireSlot(Callback &&cb);
+
+    static constexpr std::size_t kArity = 4;
+
+    std::vector<Key> heap_;
+    std::vector<EventCallback> slots_;
+    /** Indices of empty slots; capacity >= slots_.size() always, so
+     * releasing a slot never reallocates. */
+    std::vector<std::uint32_t> free_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -73,9 +73,6 @@ namespace declust {
     X(ReadRepairs, "read_repairs")                                         \
     X(ReconCycles, "recon_cycles")                                         \
     X(CopybackCycles, "copyback_cycles")                                   \
-    X(EventQueueSpills, "event_queue_spills")                              \
-    X(EventQueueResizes, "event_queue_resizes")                            \
-    X(EventQueueRebuilds, "event_queue_rebuilds")                          \
     X(HedgesLaunched, "hedges_launched")                                   \
     X(HedgeWins, "hedge_wins")                                             \
     X(HedgeWasted, "hedge_wasted")                                         \
@@ -90,9 +87,7 @@ namespace declust {
     X(UserReadTicks, "user_read_ticks")                                    \
     X(UserWriteTicks, "user_write_ticks")                                  \
     X(ReconReadPhaseTicks, "recon_read_phase_ticks")                       \
-    X(ReconWritePhaseTicks, "recon_write_phase_ticks")                     \
-    X(EventBucketScan, "event_bucket_scan_steps")                          \
-    X(EventBucketOccupancy, "event_bucket_occupancy")
+    X(ReconWritePhaseTicks, "recon_write_phase_ticks")
 
 enum class PerfCounter : std::size_t
 {

@@ -87,9 +87,6 @@ tinyGeometry()
 class AllocGuardTest : public ::testing::Test
 {
   protected:
-    AllocGuardTest() : AllocGuardTest(EventQueue::defaultImpl()) {}
-    explicit AllocGuardTest(EventQueue::Impl impl) : eq(impl) {}
-
     void
     build(int numDisks, int G, const char *scheduler = "cvscan",
           ec::DataPlaneMode dataPlane = ec::DataPlaneMode::Off,
@@ -263,78 +260,13 @@ TEST_F(AllocGuardTest, DataPlaneVerifyReconstructionIsAllocationFree)
 }
 
 /**
- * The zero-allocation contract must hold under every head scheduler,
- * not just the default CVSCAN: FCFS runs on a ring buffer and the V(R)
- * family on a capacity-retaining vector, all of which stop allocating
- * once the queue-depth high-water mark is reached.
- */
-/**
- * The contract is implementation-independent: the calendar queue's slab
- * node pool and capacity-retaining bucket ring must stop allocating once
- * warm, exactly like the heap's vector — including through the width
- * retunes and bucket resizes steady-state traffic triggers.
- */
-class AllocGuardCalendarTest : public AllocGuardTest
-{
-  protected:
-    AllocGuardCalendarTest()
-        : AllocGuardTest(EventQueue::Impl::Calendar)
-    {
-    }
-};
-
-TEST_F(AllocGuardCalendarTest, FaultFreeSteadyStateIsAllocationFree)
-{
-    build(5, 4);
-    const std::uint64_t warm =
-        allocsDuring([&] { writeRange(0, 64); readRange(0, 64); });
-    EXPECT_GT(warm, 0u) << "warm-up should have grown the pools";
-
-    const std::uint64_t steady =
-        allocsDuring([&] { writeRange(0, 64); readRange(0, 64); });
-    EXPECT_EQ(steady, 0u)
-        << "calendar-queue RMW traffic allocated on a warm array";
-}
-
-TEST_F(AllocGuardCalendarTest, ReconstructionSteadyStateIsAllocationFree)
-{
-    build(5, 4);
-    allocsDuring([&] { writeRange(0, 128); });
-    array->failDisk(2);
-    array->attachReplacement(ReconAlgorithm::RedirectPiggyback);
-
-    const auto cycle = [&](int offset) {
-        array->reconstructOffset(offset, [](const CycleResult &) {});
-    };
-    allocsDuring([&] {
-        writeRange(0, 48);
-        for (int off = 0; off < 16; ++off)
-            cycle(off);
-    });
-
-    const std::uint64_t steady = allocsDuring([&] {
-        writeRange(48, 48);
-        for (int off = 16; off < 32; ++off)
-            cycle(off);
-    });
-    EXPECT_EQ(steady, 0u)
-        << "calendar-queue reconstruction traffic allocated on a warm "
-           "array";
-}
-
-/**
  * reserve() is the bring-up pre-sizing hook: a bare queue that stays at
- * or below the reserved population must not allocate after the reserve,
- * for either implementation.
+ * or below the reserved population must not allocate after the reserve
+ * — not in the key heap, the callback slots, or the free list.
  */
-class AllocGuardReserveTest
-    : public ::testing::TestWithParam<EventQueue::Impl>
+TEST(AllocGuardReserve, ReservedQueueSchedulesWithoutAllocating)
 {
-};
-
-TEST_P(AllocGuardReserveTest, ReservedQueueSchedulesWithoutAllocating)
-{
-    EventQueue eq(GetParam());
+    EventQueue eq;
     eq.reserve(512);
     // Warm this thread's perf-counter block separately: it registers
     // itself on first use and is not part of the pending-set contract.
@@ -348,18 +280,15 @@ TEST_P(AllocGuardReserveTest, ReservedQueueSchedulesWithoutAllocating)
         eq.runToCompletion();
     }
     EXPECT_EQ(g_allocCount - before, 0u)
-        << "impl '" << EventQueue::implName(GetParam())
-        << "' allocated within its reserved population";
+        << "the queue allocated within its reserved population";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothImpls, AllocGuardReserveTest,
-    ::testing::Values(EventQueue::Impl::Heap,
-                      EventQueue::Impl::Calendar),
-    [](const ::testing::TestParamInfo<EventQueue::Impl> &info) {
-        return std::string(EventQueue::implName(info.param));
-    });
-
+/**
+ * The zero-allocation contract must hold under every head scheduler,
+ * not just the default CVSCAN: FCFS runs on a ring buffer and the V(R)
+ * family on a capacity-retaining vector, all of which stop allocating
+ * once the queue-depth high-water mark is reached.
+ */
 class AllocGuardSchedulerTest
     : public AllocGuardTest,
       public ::testing::WithParamInterface<const char *>

@@ -1,13 +1,12 @@
 /**
  * @file
- * Cluster-layer tests: worker-count and event-queue invariance of a
- * full cluster run, router placement/avoidance properties, rebuild
- * scenario bookkeeping, and ClusterCounters merge algebra.
+ * Cluster-layer tests: worker-count invariance of a full cluster run,
+ * router placement/avoidance properties, rebuild scenario bookkeeping,
+ * and ClusterCounters merge algebra.
  *
  * The load-bearing property is the first one: a ClusterRunner's merged
  * result must be EXACTLY equal — every count, every double — whether
- * one worker or eight advanced the arrays, and whichever pending-set
- * implementation backed the event queues. That is the determinism
+ * one worker or eight advanced the arrays. That is the determinism
  * contract bench_cluster's golden byte-compare rides on.
  */
 #include <gtest/gtest.h>
@@ -21,7 +20,7 @@
 #include "cluster/router.hpp"
 #include "cluster/runner.hpp"
 #include "cluster/topology.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/time.hpp"
 #include "util/error.hpp"
 
 namespace declust {
@@ -48,17 +47,12 @@ smallCluster()
 }
 
 ClusterResult
-runCluster(int workers, EventQueue::Impl impl, int rebuilds,
-           double measureSec = 4.0)
+runCluster(int workers, int rebuilds, double measureSec = 4.0)
 {
-    const EventQueue::Impl saved = EventQueue::defaultImpl();
-    EventQueue::setDefaultImpl(impl);
     ClusterRunner runner(smallCluster(), workers);
     if (rebuilds > 0)
         scheduleRollingRebuilds(runner, rebuilds, 1.0, 0.5);
-    ClusterResult result = runner.run(1.0, measureSec);
-    EventQueue::setDefaultImpl(saved);
-    return result;
+    return runner.run(1.0, measureSec);
 }
 
 void
@@ -92,21 +86,17 @@ expectIdentical(const ClusterResult &a, const ClusterResult &b)
     }
 }
 
-TEST(Cluster, ResultInvariantUnderWorkerCountAndQueueImpl)
+TEST(Cluster, ResultInvariantUnderWorkerCount)
 {
-    // 1 and 8 workers, heap and calendar queues: all four runs of the
-    // rebuild scenario must be exactly equal.
-    const ClusterResult base =
-        runCluster(1, EventQueue::Impl::Calendar, 2);
-    expectIdentical(base, runCluster(8, EventQueue::Impl::Calendar, 2));
-    expectIdentical(base, runCluster(1, EventQueue::Impl::Heap, 2));
-    expectIdentical(base, runCluster(8, EventQueue::Impl::Heap, 2));
+    // 1 and 8 workers: both runs of the rebuild scenario must be
+    // exactly equal.
+    const ClusterResult base = runCluster(1, 2);
+    expectIdentical(base, runCluster(8, 2));
 }
 
 TEST(Cluster, FaultFreeServesTheOfferedLoad)
 {
-    const ClusterResult res =
-        runCluster(2, EventQueue::Impl::Calendar, 0);
+    const ClusterResult res = runCluster(2, 0);
     EXPECT_EQ(res.counters.rebuildsCompleted, 0u);
     EXPECT_EQ(res.counters.degradedEpochs, 0u);
     EXPECT_EQ(res.counters.redirectsIn, 0u);
@@ -118,8 +108,7 @@ TEST(Cluster, FaultFreeServesTheOfferedLoad)
 
 TEST(Cluster, RollingRebuildsCompleteAndAreCounted)
 {
-    const ClusterResult res =
-        runCluster(4, EventQueue::Impl::Calendar, 2, 12.0);
+    const ClusterResult res = runCluster(4, 2, 12.0);
     // A rebuild takes ~9.6 virtual seconds on the shrunken geometry
     // while serving; the 13s horizon covers both staggered repairs.
     EXPECT_EQ(res.counters.rebuildsCompleted, 2u);
@@ -147,11 +136,9 @@ TEST(Cluster, EveryWorkerCountMatchesTheSerialRun)
     // Two and three workers over four arrays exercise owners with
     // unequal list lengths and helpers taking arrays off other owners'
     // lists; five workers leave one with nothing to own.
-    const ClusterResult base =
-        runCluster(1, EventQueue::Impl::Calendar, 2);
+    const ClusterResult base = runCluster(1, 2);
     for (const int workers : {2, 3, 4, 5})
-        expectIdentical(base,
-                        runCluster(workers, EventQueue::Impl::Calendar, 2));
+        expectIdentical(base, runCluster(workers, 2));
 }
 
 TEST(Cluster, WallProbeSplitsTheLoopByWorker)

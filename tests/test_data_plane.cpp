@@ -1,14 +1,16 @@
 /**
  * @file
  * Tests for the real-bytes data plane: the generative byte expansion's
- * linearity/injectivity, combine cross-checking (pass, fail, and the
- * empty-combine identity), verify-mode integration across degraded
+ * word-by-word definition and linearity/injectivity, combine
+ * cross-checking (pass, fail, and the empty-combine identity),
+ * verify-mode integration across degraded
  * reads, all four reconstruction algorithms, and the fault-injection
  * read-repair path, timing neutrality of verify mode, and the
  * controller's per-unit XOR charge basis (hand-picked and calibrated).
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -62,6 +64,30 @@ TEST(Expansion, IsGf2LinearAndInjective)
     // expand(0) is all-zero, the XOR identity.
     EXPECT_EQ(expand(plane, 0),
               std::vector<std::uint8_t>(plane.unitBytes(), 0));
+}
+
+TEST(Expansion, MatchesTheWordDefinitionAtEveryUnitSize)
+{
+    // expandInto builds one 512-byte period and replicates it; pin it
+    // to word[i] = rotl64(v, (29 i) & 63) below, at, and past a period.
+    std::uint64_t s = 0x243f6a8885a308d3ull;
+    for (const std::size_t unit : {8u, 504u, 512u, 1536u, 4096u}) {
+        ec::DataPlane plane(ec::DataPlaneMode::Verify, unit);
+        for (int trial = 0; trial < 16; ++trial) {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            const auto bytes = expand(plane, s);
+            ASSERT_EQ(bytes.size(), unit);
+            for (std::size_t i = 0; i < unit / 8; ++i) {
+                std::uint64_t word = 0;
+                std::memcpy(&word, bytes.data() + i * 8, 8);
+                ASSERT_EQ(word,
+                          std::rotl(s, static_cast<int>((29 * i) & 63)))
+                    << "unit " << unit << ", word " << i;
+            }
+        }
+    }
 }
 
 TEST(DataPlane, CheckCombineAcceptsTrueParityAndCounts)

@@ -1,215 +1,328 @@
 /**
  * @file
- * Lockstep equivalence tests for the two event-queue implementations.
+ * Lockstep property tests for the event queue against a reference
+ * model.
  *
- * The determinism contract says the pending set is an implementation
- * detail: whatever backs EventQueue — the 4-ary heap or the calendar
- * queue — the dispatch stream must be the exact same (when, seq)
- * sequence, so every golden table is byte-identical under either
- * --event-queue value. These tests drive both implementations through
- * identical randomized schedules (same-tick bursts, tombstone cancels,
- * far-future events that spill the calendar's overflow ladder,
- * interleaved pops and horizon runs) and assert the streams never
- * diverge, plus cover the calendar's own machinery: bucket resizing,
- * overflow re-anchoring, the insert-behind-the-year rebuild, and
- * reserve() pre-sizing.
+ * The determinism contract says events dispatch in strict (when, seq)
+ * order: earliest tick first, FIFO among events scheduled for the same
+ * tick, with a release-mode clamp for scheduling into the past. The
+ * reference model below is a second, deliberately naive implementation
+ * of that contract — an ordered map keyed by (when, seq) — and these
+ * tests replay identical seeded scripts against it and against
+ * EventQueue: schedule bursts (same-tick ties, near, far-future and
+ * past events), single steps, horizon runs and predicate runs, with
+ * callbacks that schedule further events during their own dispatch so
+ * freed callback slots are reused at once. The dispatch streams, and
+ * the clock, pending count and executed count after every operation,
+ * must match exactly. The scripts grow the pending set far past the
+ * queue's reserve().
+ *
+ * A past event is clamped to now() in release builds; debug and
+ * validation builds reject it with InternalError, and the logs then
+ * show that the rejection left the pending set untouched. In
+ * validation builds every dispatch also passes the queue's (when, seq)
+ * ordering audit.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
-#include "sim/event_calendar.hpp"
+#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "util/error.hpp"
+#include "util/validate.hpp"
 
 namespace declust {
 namespace {
 
-/** One dispatched event as observed by the recording callbacks. */
-struct Dispatch
+/** True where scheduling into the past clamps instead of panicking. */
+constexpr bool
+pastScheduleClamps()
 {
-    Tick when = 0;
-    int id = 0;
-    bool cancelled = false;
+#if !DECLUST_VALIDATE && defined(NDEBUG)
+    return true;
+#else
+    return false;
+#endif
+}
+
+/** The contract, spelled out: an ordered map keyed by (when, seq). */
+class ReferenceQueue
+{
+  public:
+    Tick now() const { return now_; }
+    std::size_t pending() const { return pending_.size(); }
+    std::uint64_t executed() const { return executed_; }
+    void reserve(std::size_t) {}
+
+    void
+    scheduleAt(Tick when, EventCallback cb)
+    {
+        if (when < now_) {
+            if (!pastScheduleClamps())
+                throw InternalError("scheduling into the past");
+            when = now_;
+        }
+        pending_.emplace(std::make_pair(when, nextSeq_++), std::move(cb));
+    }
 
     bool
-    operator==(const Dispatch &other) const
+    step()
     {
-        return when == other.when && id == other.id &&
-               cancelled == other.cancelled;
+        if (pending_.empty())
+            return false;
+        const auto first = pending_.begin();
+        now_ = first->first.first;
+        EventCallback cb = std::move(first->second);
+        pending_.erase(first);
+        ++executed_;
+        cb();
+        return true;
     }
+
+    void
+    runUntil(Tick until)
+    {
+        while (!pending_.empty() && pending_.begin()->first.first <= until)
+            step();
+        if (now_ < until)
+            now_ = until;
+    }
+
+    bool
+    runUntilCondition(const std::function<bool()> &done)
+    {
+        if (done())
+            return true;
+        while (step()) {
+            if (done())
+                return true;
+        }
+        return false;
+    }
+
+  private:
+    std::map<std::pair<Tick, std::uint64_t>, EventCallback> pending_;
+    Tick now_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    std::uint64_t executed_ = 0;
 };
 
-/**
- * A pre-generated operation script, applied identically to each
- * implementation. Generating the script once (rather than drawing from
- * the Rng while driving each queue) guarantees both queues see the very
- * same operations even though the test itself is randomized.
- */
+/** One operation of a pre-generated script. */
 struct Op
 {
     enum Kind
     {
-        Schedule, ///< schedule `count` events, delays[] ticks from now
-        Pop,      ///< step() up to `count` times
-        RunUntil, ///< runUntil(now + horizon)
-        Cancel,   ///< tombstone event id `target` (if still pending)
+        Schedule,  ///< schedule one event per entry of `delays`
+        Step,      ///< step() `count` times
+        RunUntil,  ///< runUntil(now + horizon)
+        RunUntilN, ///< runUntilCondition: stop after `count` dispatches
     };
     Kind kind = Schedule;
     int count = 0;
     Tick horizon = 0;
-    int target = 0;
-    std::vector<Tick> delays;
+    /** Signed offsets from now(); negative ones schedule into the past. */
+    std::vector<std::int64_t> delays;
 };
 
+/**
+ * Generate a script from @p seed. The script is drawn up front, and
+ * events' children are a pure function of their id, so both queues see
+ * the very same operations.
+ */
 std::vector<Op>
-makeScript(std::uint64_t seed, int rounds)
+makeScript(std::uint64_t seed, int rounds, int maxBurst)
 {
     Rng rng(seed);
     std::vector<Op> script;
-    int scheduled = 0;
     for (int r = 0; r < rounds; ++r) {
         const double pick = rng.uniform();
         Op op;
         if (pick < 0.45) {
             op.kind = Op::Schedule;
-            op.count = 1 + static_cast<int>(rng.uniformInt(24));
-            for (int i = 0; i < op.count; ++i) {
+            const int count =
+                1 + static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(maxBurst)));
+            const bool sameTickBurst = rng.bernoulli(0.15);
+            for (int i = 0; i < count; ++i) {
                 const double kind = rng.uniform();
-                Tick delay;
-                if (kind < 0.25) {
-                    delay = 0; // same-tick tie: FIFO order must hold
+                std::int64_t delay;
+                if (sameTickBurst || kind < 0.25) {
+                    delay = 0;
                 } else if (kind < 0.55) {
-                    delay = rng.uniformInt(64);
-                } else if (kind < 0.90) {
-                    delay = static_cast<Tick>(rng.exponential(5000.0));
+                    delay = static_cast<std::int64_t>(rng.uniformInt(64));
+                } else if (kind < 0.88) {
+                    delay = static_cast<std::int64_t>(
+                        rng.exponential(5000.0));
+                } else if (kind < 0.95) {
+                    delay = (std::int64_t{1} << 44) +
+                            static_cast<std::int64_t>(
+                                rng.uniformInt(1u << 20));
                 } else {
-                    // Far past any sane calendar year: lands in the
-                    // overflow ladder and forces a re-anchor later.
-                    delay = (Tick{1} << 44) + rng.uniformInt(1u << 20);
+                    delay = -1 - static_cast<std::int64_t>(
+                                     rng.uniformInt(50));
                 }
                 op.delays.push_back(delay);
             }
-            scheduled += op.count;
         } else if (pick < 0.70) {
-            op.kind = Op::Pop;
+            op.kind = Op::Step;
             op.count = 1 + static_cast<int>(rng.uniformInt(16));
-        } else if (pick < 0.90) {
+        } else if (pick < 0.88) {
             op.kind = Op::RunUntil;
             op.horizon = rng.uniformInt(20000);
         } else {
-            op.kind = Op::Cancel;
-            op.target = scheduled > 0
-                            ? static_cast<int>(rng.uniformInt(
-                                  static_cast<std::uint64_t>(scheduled)))
-                            : 0;
+            op.kind = Op::RunUntilN;
+            op.count = static_cast<int>(rng.uniformInt(40));
         }
         script.push_back(std::move(op));
     }
     return script;
 }
 
-/**
- * Run @p script against a queue of the given implementation and return
- * the dispatch stream. Cancellation is the tombstone pattern the
- * simulator itself uses (a flag the callback checks): the event still
- * dispatches in (when, seq) order, it just records itself cancelled —
- * so cancels exercise ordering rather than removal.
- */
-std::vector<Dispatch>
-runScript(EventQueue::Impl impl, const std::vector<Op> &script)
+/** A dispatch or rejection (now, id, marker), or a post-operation
+ * (now, pending, executed). */
+using Record = std::array<std::uint64_t, 3>;
+
+constexpr std::uint64_t kDispatched = ~std::uint64_t{0};
+constexpr std::uint64_t kRejected = ~std::uint64_t{1};
+
+/** Runs one queue through a script and records what it observes. */
+template <typename Queue>
+class ScriptRunner
 {
-    EventQueue eq(impl);
-    std::vector<Dispatch> stream;
-    std::vector<bool> cancelled;
-    int nextId = 0;
+  public:
+    explicit ScriptRunner(std::size_t reserveHint)
+    {
+        q_.reserve(reserveHint);
+    }
 
-    auto schedule = [&](Tick delay) {
-        const int id = nextId++;
-        cancelled.push_back(false);
-        eq.scheduleIn(delay, [&, id] {
-            stream.push_back(Dispatch{eq.now(), id, cancelled[id]});
-        });
-    };
+    std::vector<Record>
+    run(const std::vector<Op> &script)
+    {
+        for (const Op &op : script) {
+            apply(op);
+            log_.push_back({q_.now(), q_.pending(), q_.executed()});
+        }
+        while (q_.step()) {
+        }
+        log_.push_back({q_.now(), q_.pending(), q_.executed()});
+        return std::move(log_);
+    }
 
-    for (const Op &op : script) {
+  private:
+    void
+    apply(const Op &op)
+    {
         switch (op.kind) {
         case Op::Schedule:
-            for (Tick delay : op.delays)
-                schedule(delay);
+            for (const std::int64_t delay : op.delays) {
+                // Clamp at tick 0 so a "past" event is only ever before
+                // now, never a wrapped-around far-future tick.
+                const std::int64_t at =
+                    static_cast<std::int64_t>(q_.now()) + delay;
+                schedule(static_cast<Tick>(at < 0 ? 0 : at), 2);
+            }
             break;
-        case Op::Pop:
-            for (int i = 0; i < op.count && !eq.empty(); ++i)
-                eq.step();
+        case Op::Step:
+            for (int i = 0; i < op.count; ++i)
+                q_.step();
             break;
         case Op::RunUntil:
-            eq.runUntil(eq.now() + op.horizon);
+            q_.runUntil(q_.now() + op.horizon);
             break;
-        case Op::Cancel:
-            if (op.target < static_cast<int>(cancelled.size()))
-                cancelled[static_cast<std::size_t>(op.target)] = true;
+        case Op::RunUntilN: {
+            const std::uint64_t target = dispatched_ + op.count;
+            q_.runUntilCondition([&] { return dispatched_ >= target; });
             break;
         }
+        }
     }
-    eq.runToCompletion();
-    return stream;
-}
 
-/** (when, id, cancelled) streams must be identical across impls. */
+    void
+    schedule(Tick when, int generations)
+    {
+        const std::uint64_t id = nextId_++;
+        try {
+            q_.scheduleAt(when, [this, id, generations] {
+                fire(id, generations);
+            });
+        } catch (const InternalError &) {
+            log_.push_back({q_.now(), id, kRejected});
+        }
+    }
+
+    /** Record the dispatch; every third event schedules a child from
+     * inside its own dispatch, often for the same tick. */
+    void
+    fire(std::uint64_t id, int generations)
+    {
+        log_.push_back({q_.now(), id, kDispatched});
+        ++dispatched_;
+        if (generations > 0 && id % 3 == 0) {
+            const std::uint64_t h = id * 0x9e3779b97f4a7c15ull;
+            const Tick delay = (h >> 60) < 6 ? 0 : (h >> 40) % 3000;
+            schedule(q_.now() + delay, generations - 1);
+        }
+    }
+
+    Queue q_;
+    std::vector<Record> log_;
+    std::uint64_t nextId_ = 0;
+    std::uint64_t dispatched_ = 0;
+};
+
+/** Replay @p script on both queues; the logs must match exactly. */
 void
-expectLockstep(std::uint64_t seed, int rounds)
+expectLockstep(const std::vector<Op> &script, std::size_t reserveHint,
+               std::uint64_t seed)
 {
-    const std::vector<Op> script = makeScript(seed, rounds);
-    const std::vector<Dispatch> heap =
-        runScript(EventQueue::Impl::Heap, script);
-    const std::vector<Dispatch> calendar =
-        runScript(EventQueue::Impl::Calendar, script);
-
-    ASSERT_EQ(heap.size(), calendar.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        ASSERT_TRUE(heap[i] == calendar[i])
-            << "seed " << seed << ": streams diverge at dispatch " << i
-            << ": heap (" << heap[i].when << ", " << heap[i].id
-            << ") vs calendar (" << calendar[i].when << ", "
-            << calendar[i].id << ")";
+    const std::vector<Record> model =
+        ScriptRunner<ReferenceQueue>(reserveHint).run(script);
+    const std::vector<Record> queue =
+        ScriptRunner<EventQueue>(reserveHint).run(script);
+    ASSERT_EQ(queue.size(), model.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(queue[i], model[i])
+            << "seed " << seed << ": logs diverge at record " << i
+            << ": queue (" << queue[i][0] << ", " << queue[i][1] << ", "
+            << queue[i][2] << ") vs reference (" << model[i][0] << ", "
+            << model[i][1] << ", " << model[i][2] << ")";
     }
-    // The stream itself must be non-decreasing in time (FIFO ties are
-    // checked implicitly: ids scheduled for the same tick appear in
-    // schedule order because both impls agreed with the heap, and the
-    // heap is pinned by EventQueue.HeapOrderMatchesReferenceUnderStress).
-    for (std::size_t i = 1; i < heap.size(); ++i)
-        ASSERT_GE(heap[i].when, heap[i - 1].when);
 }
 
 TEST(EventQueueLockstep, RandomizedInterleavingsAgreeAcrossImpls)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed)
-        expectLockstep(0xec0de000 + seed, 400);
+        expectLockstep(makeScript(0xec0de000 + seed, 400, 24), 16,
+                       0xec0de000 + seed);
 }
 
 TEST(EventQueueLockstep, LongRunWithLargePopulationAgrees)
 {
-    expectLockstep(0xb16badu, 2500);
+    // Bursts of up to 200 events against a reserve of 8: the heap, the
+    // callback slots and the free list all grow many times over.
+    expectLockstep(makeScript(0xb16badu, 2500, 200), 8, 0xb16badu);
 }
 
 TEST(EventQueueLockstep, EventsSchedulingEventsAgreeAcrossImpls)
 {
-    // Self-scheduling callbacks (the simulator's normal mode: an event's
-    // continuation schedules the next hop) — compare full streams.
-    auto run = [](EventQueue::Impl impl) {
-        EventQueue eq(impl);
+    // Chains of self-scheduling callbacks (the simulator's normal mode:
+    // an event's continuation schedules the next hop), compared as full
+    // streams. Fixed-depth chains keep both runs' Rng draws identical.
+    auto run = [](auto &eq) {
         Rng rng(0x5eed);
         std::vector<std::pair<Tick, int>> stream;
         int nextId = 0;
-        // Fixed-depth chains so both runs make identical Rng draws.
         std::function<void(int)> chain = [&](int depth) {
             const int id = nextId++;
             const Tick delay = rng.uniformInt(128);
-            eq.scheduleIn(delay, [&, id, depth] {
+            eq.scheduleAt(eq.now() + delay, [&, id, depth] {
                 stream.emplace_back(eq.now(), id);
                 if (depth > 0)
                     chain(depth - 1);
@@ -217,19 +330,20 @@ TEST(EventQueueLockstep, EventsSchedulingEventsAgreeAcrossImpls)
         };
         for (int i = 0; i < 200; ++i)
             chain(static_cast<int>(rng.uniformInt(6)));
-        eq.runToCompletion();
+        while (eq.step()) {
+        }
         return stream;
     };
-    EXPECT_EQ(run(EventQueue::Impl::Heap),
-              run(EventQueue::Impl::Calendar));
+    EventQueue eq;
+    ReferenceQueue ref;
+    EXPECT_EQ(run(eq), run(ref));
 }
 
 TEST(EventQueueLockstep, RunUntilParityAcrossImpls)
 {
     // Clock advancement semantics (idle time passing, horizon-inclusive
     // dispatch) must match, not just dispatch order.
-    auto run = [](EventQueue::Impl impl) {
-        EventQueue eq(impl);
+    auto run = [](auto &eq) {
         std::vector<Tick> clocks;
         std::uint64_t ran = 0;
         for (Tick t : {Tick{10}, Tick{20}, Tick{20}, Tick{35}, Tick{900}})
@@ -238,153 +352,18 @@ TEST(EventQueueLockstep, RunUntilParityAcrossImpls)
             eq.runUntil(horizon);
             clocks.push_back(eq.now());
         }
-        eq.runToCompletion();
+        while (eq.step()) {
+        }
         clocks.push_back(eq.now());
         clocks.push_back(static_cast<Tick>(ran));
         clocks.push_back(static_cast<Tick>(eq.executed()));
         return clocks;
     };
-    EXPECT_EQ(run(EventQueue::Impl::Heap),
-              run(EventQueue::Impl::Calendar));
-}
-
-// ---------------------------------------------------------------------
-// Calendar-specific machinery, driven through the raw implementation so
-// bucket counts, overflow sizes, and node capacities can be asserted.
-
-EventEntry
-entryAt(Tick when, std::uint64_t seq)
-{
-    EventEntry e;
-    e.when = when;
-    e.seq = seq;
-    return e;
-}
-
-TEST(CalendarQueue, ResizesOnPopulationDoublingAndDrainsInOrder)
-{
-    CalendarEventQueue q;
-    Rng rng(0xca1);
-    std::vector<std::pair<Tick, std::uint64_t>> expected;
-    for (std::uint64_t seq = 0; seq < 10000; ++seq) {
-        const Tick when = rng.uniformInt(1u << 20);
-        expected.emplace_back(when, seq);
-        q.push(0, entryAt(when, seq));
-    }
-    // 10k events against 16 initial buckets: the ring must have grown.
-    EXPECT_GT(q.bucketCount(), std::size_t{16});
-
-    std::stable_sort(expected.begin(), expected.end());
-    Tick now = 0;
-    for (const auto &[when, seq] : expected) {
-        const EventEntry top = q.popTop(now);
-        ASSERT_EQ(top.when, when);
-        ASSERT_EQ(top.seq, seq);
-        now = top.when;
-    }
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, FarFutureEventsSpillToOverflowAndReanchor)
-{
-    CalendarEventQueue q;
-    const Tick far = Tick{1} << 50;
-    q.push(0, entryAt(5, 0));
-    q.push(0, entryAt(far + 7, 1));
-    q.push(0, entryAt(far + 7, 2)); // same-tick tie in overflow
-    q.push(0, entryAt(far, 3));
-    EXPECT_EQ(q.overflowSize(), std::size_t{3});
-
-    EXPECT_EQ(q.popTop(0).seq, 0u);
-    // Calendar proper is now empty: the next pop re-anchors the year at
-    // the overflow minimum and must still honor (when, seq).
-    EXPECT_EQ(q.popTop(5).seq, 3u);
-    EXPECT_EQ(q.popTop(far).seq, 1u);
-    EXPECT_EQ(q.popTop(far + 7).seq, 2u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, InsertBehindReanchoredYearRebuilds)
-{
-    // Re-anchor the year far ahead of the clock, then schedule an event
-    // between the clock and the calendar start: the queue must rebuild
-    // behind itself rather than alias the event into a wrong bucket.
-    EventQueue eq(EventQueue::Impl::Calendar);
-    std::vector<int> order;
-    eq.scheduleAt(100, [&] { order.push_back(0); });
-    const Tick far = Tick{1} << 50;
-    eq.scheduleAt(far, [&] { order.push_back(1); });
-
-    eq.runUntil(200); // pops event 0; peeking re-anchors at `far`
-    EXPECT_EQ(eq.now(), Tick{200});
-
-    eq.scheduleAt(300, [&] { order.push_back(2); }); // behind the year
-    eq.runToCompletion();
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-    EXPECT_EQ(eq.now(), far);
-}
-
-TEST(CalendarQueue, ReservePreSizesNodesAndBuckets)
-{
-    CalendarEventQueue q;
-    q.reserve(1000);
-    EXPECT_GE(q.nodeCapacity(), std::size_t{1000});
-    // The bucket-ring hint is applied at first use.
-    q.push(0, entryAt(1, 0));
-    EXPECT_GE(q.bucketCount(), std::size_t{256});
-    EXPECT_EQ(q.popTop(0).seq, 0u);
-}
-
-TEST(CalendarQueue, SameTickBurstsStayFifoThroughResizes)
-{
-    // Monotone same-tick appends hit the O(1) tail path; interleave
-    // bursts with enough population change to force resizes both ways.
-    CalendarEventQueue q;
-    std::uint64_t seq = 0;
-    std::vector<std::pair<Tick, std::uint64_t>> expected;
-    Tick now = 0;
-    for (int round = 0; round < 6; ++round) {
-        const Tick burstTick = now + 10;
-        for (int i = 0; i < 600; ++i) {
-            expected.emplace_back(burstTick, seq);
-            q.push(now, entryAt(burstTick, seq++));
-        }
-        for (int i = 0; i < 300; ++i) {
-            const EventEntry top = q.popTop(now);
-            ASSERT_EQ(top.when, expected.front().first);
-            ASSERT_EQ(top.seq, expected.front().second);
-            expected.erase(expected.begin());
-            now = top.when;
-        }
-    }
-    while (!q.empty()) {
-        const EventEntry top = q.popTop(now);
-        ASSERT_EQ(top.seq, expected.front().second);
-        expected.erase(expected.begin());
-        now = top.when;
-    }
-    EXPECT_TRUE(expected.empty());
-}
-
-TEST(EventQueueFacade, ImplSelectionAndNames)
-{
-    EXPECT_STREQ(EventQueue::implName(EventQueue::Impl::Heap), "heap");
-    EXPECT_STREQ(EventQueue::implName(EventQueue::Impl::Calendar),
-                 "calendar");
-
-    EventQueue::Impl impl = EventQueue::Impl::Heap;
-    EXPECT_TRUE(EventQueue::parseImplName("calendar", &impl));
-    EXPECT_EQ(impl, EventQueue::Impl::Calendar);
-    EXPECT_TRUE(EventQueue::parseImplName("heap", &impl));
-    EXPECT_EQ(impl, EventQueue::Impl::Heap);
-    EXPECT_FALSE(EventQueue::parseImplName("splay", &impl));
-    EXPECT_FALSE(EventQueue::parseImplName("", &impl));
-
-    const EventQueue::Impl saved = EventQueue::defaultImpl();
-    EventQueue::setDefaultImpl(EventQueue::Impl::Calendar);
-    EXPECT_EQ(EventQueue().impl(), EventQueue::Impl::Calendar);
-    EventQueue::setDefaultImpl(saved);
-    EXPECT_EQ(EventQueue().impl(), saved);
+    EventQueue eq;
+    ReferenceQueue ref;
+    const std::vector<Tick> clocks = run(eq);
+    EXPECT_EQ(clocks, run(ref));
+    EXPECT_EQ(clocks, (std::vector<Tick>{5, 20, 50, 100, 900, 5, 5}));
 }
 
 } // namespace
