@@ -84,12 +84,18 @@ Disk::submit(DiskRequest request)
         p.chs.track, ", sector ", p.chs.sector, ")");
 #endif
 
-    const Chs chs = p.chs;
+    // An idle disk with nothing queued would pop exactly this request:
+    // start it without a round trip through the scheduler.
+    if (!busy_ && scheduler_->empty() &&
+        (!backgroundScheduler_ || backgroundScheduler_->empty())) {
+        startService(slot);
+        return;
+    }
     Scheduler &queue =
         (backgroundScheduler_ && p.request.priority == Priority::Background)
             ? *backgroundScheduler_
             : *scheduler_;
-    queue.push(SchedEntry{slot, chs.cylinder, p.enqueued});
+    queue.push(SchedEntry{slot, p.chs.cylinder, p.enqueued});
     dispatch();
 }
 
@@ -120,7 +126,12 @@ Disk::dispatch()
                        slot < static_cast<int>(pending_.size()) &&
                        pending_[static_cast<std::size_t>(slot)].live,
                    "scheduler returned unknown id");
+    startService(slot);
+}
 
+void
+Disk::startService(int slot)
+{
     busy_ = true;
     util_.setBusy(eq_.now());
 
@@ -194,9 +205,8 @@ Disk::complete(int slot, Tick dispatched)
     DECLUST_PERF_INC(DiskCompletions);
     DECLUST_PERF_HIST(DiskQueueTicks, dispatched - done.enqueued);
     DECLUST_PERF_HIST(DiskServiceTicks, now - dispatched);
-    stats_.serviceMs.add(ticksToMs(now - dispatched));
-    stats_.queueMs.add(ticksToMs(dispatched - done.enqueued));
-    stats_.responseMs.add(ticksToMs(now - done.enqueued));
+    stats_.serviceTicks += now - dispatched;
+    stats_.queueTicks += dispatched - done.enqueued;
     if (done.request.isWrite)
         ++stats_.writes;
     else

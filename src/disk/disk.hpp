@@ -26,7 +26,6 @@
 #include "disk/seek_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
-#include "stats/accumulator.hpp"
 #include "stats/utilization.hpp"
 #include "util/annotations.hpp"
 #include "util/fastdiv.hpp"
@@ -74,14 +73,36 @@ struct AccessRecord
 /** Callback invoked at the completion of every traced access. */
 using AccessTracer = std::function<void(const AccessRecord &)>;
 
-/** Aggregate per-disk statistics (times in milliseconds). */
+/**
+ * Aggregate per-disk statistics: exact integer tick sums over completed
+ * accesses (two adds per completion). Response time is service plus
+ * queue time, so its sum is not kept separately.
+ */
 struct DiskStats
 {
-    Accumulator serviceMs;  ///< dispatch -> completion
-    Accumulator queueMs;    ///< submit -> dispatch
-    Accumulator responseMs; ///< submit -> completion
+    Tick serviceTicks = 0; ///< sum of dispatch -> completion
+    Tick queueTicks = 0;   ///< sum of submit -> dispatch
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
+
+    std::uint64_t completions() const { return reads + writes; }
+    /** Mean dispatch -> completion time (0 with no completions). */
+    double meanServiceMs() const { return meanMs(serviceTicks); }
+    /** Mean submit -> dispatch time (0 with no completions). */
+    double meanQueueMs() const { return meanMs(queueTicks); }
+    /** Mean submit -> completion time (0 with no completions). */
+    double meanResponseMs() const
+    {
+        return meanMs(serviceTicks + queueTicks);
+    }
+
+  private:
+    double
+    meanMs(Tick sum) const
+    {
+        const std::uint64_t n = completions();
+        return n == 0 ? 0.0 : ticksToMs(sum) / static_cast<double>(n);
+    }
 };
 
 /** Simulated disk drive. */
@@ -234,6 +255,9 @@ class Disk
 
   private:
     void dispatch();
+    /** Put the request in @p slot under the head now; the caller has
+     * chosen it (scheduler pop, or the idle fast path in submit). */
+    void startService(int slot);
     void complete(int slot, Tick dispatched);
     void completeFailed(int slot);
     void drainQueueFailed(Scheduler &queue);

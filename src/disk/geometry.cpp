@@ -2,7 +2,6 @@
 
 #include "sim/time.hpp"
 #include "util/error.hpp"
-#include "util/fastdiv.hpp"
 
 namespace declust {
 
@@ -24,50 +23,9 @@ DiskGeometry::ibm0661Scaled(int tracksPerCyl)
 }
 
 std::int64_t
-DiskGeometry::sectorsPerCylinder() const
-{
-    return static_cast<std::int64_t>(tracksPerCyl) * sectorsPerTrack;
-}
-
-std::int64_t
-DiskGeometry::totalSectors() const
-{
-    return static_cast<std::int64_t>(cylinders) * sectorsPerCylinder();
-}
-
-std::int64_t
 DiskGeometry::totalBytes() const
 {
     return totalSectors() * sectorBytes;
-}
-
-std::int64_t
-DiskGeometry::absoluteTrack(const Chs &chs) const
-{
-    return static_cast<std::int64_t>(chs.cylinder) * tracksPerCyl +
-           chs.track;
-}
-
-Chs
-DiskGeometry::lbaToChs(std::int64_t lba) const
-{
-    // Hot path (every disk submit and service computation): range is the
-    // caller's contract, and the divisions go through memoized
-    // reciprocals instead of hardware division.
-    DECLUST_DEBUG_ASSERT(lba >= 0 && lba < totalSectors(), "lba ", lba,
-                         " out of range");
-    const auto spc = static_cast<std::uint32_t>(sectorsPerCylinder());
-    if (cylDiv_.divisor() != spc)
-        cylDiv_ = FastDiv(spc);
-    const auto spt = static_cast<std::uint32_t>(sectorsPerTrack);
-    if (trackDiv_.divisor() != spt)
-        trackDiv_ = FastDiv(spt);
-    Chs chs;
-    chs.cylinder = static_cast<int>(cylDiv_.quot64(lba));
-    const auto inCyl = static_cast<std::uint32_t>(cylDiv_.rem64(lba));
-    chs.track = static_cast<int>(trackDiv_.quot(inCyl));
-    chs.sector = static_cast<int>(trackDiv_.rem(inCyl));
-    return chs;
 }
 
 std::int64_t
@@ -88,18 +46,6 @@ Tick
 DiskGeometry::sectorTicks() const
 {
     return msToTicks(revolutionMs / sectorsPerTrack);
-}
-
-int
-DiskGeometry::physicalSlot(const Chs &chs) const
-{
-    const auto spt = static_cast<std::uint32_t>(sectorsPerTrack);
-    if (trackDiv_.divisor() != spt)
-        trackDiv_ = FastDiv(spt);
-    const std::int64_t skewed =
-        chs.sector +
-        static_cast<std::int64_t>(trackSkewSectors) * absoluteTrack(chs);
-    return static_cast<int>(trackDiv_.rem64(skewed));
 }
 
 void

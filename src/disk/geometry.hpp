@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "sim/time.hpp"
+#include "util/error.hpp"
 #include "util/fastdiv.hpp"
 
 namespace declust {
@@ -55,14 +56,51 @@ struct DiskGeometry
      */
     static DiskGeometry ibm0661Scaled(int tracksPerCyl);
 
-    std::int64_t sectorsPerCylinder() const;
-    std::int64_t totalSectors() const;
+    // The address translation below runs on every disk submit and
+    // service computation, so it is defined inline.
+    std::int64_t
+    sectorsPerCylinder() const
+    {
+        return static_cast<std::int64_t>(tracksPerCyl) * sectorsPerTrack;
+    }
+
+    std::int64_t
+    totalSectors() const
+    {
+        return static_cast<std::int64_t>(cylinders) * sectorsPerCylinder();
+    }
+
     std::int64_t totalBytes() const;
 
     /** Absolute track index (cylinder * tracksPerCyl + track). */
-    std::int64_t absoluteTrack(const Chs &chs) const;
+    std::int64_t
+    absoluteTrack(const Chs &chs) const
+    {
+        return static_cast<std::int64_t>(chs.cylinder) * tracksPerCyl +
+               chs.track;
+    }
 
-    Chs lbaToChs(std::int64_t lba) const;
+    /** Decode an LBA. Range is the caller's contract; the divisions go
+     * through memoized reciprocals instead of hardware division. */
+    Chs
+    lbaToChs(std::int64_t lba) const
+    {
+        DECLUST_DEBUG_ASSERT(lba >= 0 && lba < totalSectors(), "lba ", lba,
+                             " out of range");
+        const auto spc = static_cast<std::uint32_t>(sectorsPerCylinder());
+        if (cylDiv_.divisor() != spc)
+            cylDiv_ = FastDiv(spc);
+        const auto spt = static_cast<std::uint32_t>(sectorsPerTrack);
+        if (trackDiv_.divisor() != spt)
+            trackDiv_ = FastDiv(spt);
+        Chs chs;
+        chs.cylinder = static_cast<int>(cylDiv_.quot64(lba));
+        const auto inCyl = static_cast<std::uint32_t>(cylDiv_.rem64(lba));
+        chs.track = static_cast<int>(trackDiv_.quot(inCyl));
+        chs.sector = static_cast<int>(trackDiv_.rem(inCyl));
+        return chs;
+    }
+
     std::int64_t chsToLba(const Chs &chs) const;
 
     /** Duration of one revolution in ticks. */
@@ -75,7 +113,17 @@ struct DiskGeometry
      * Physical rotational slot of a logical sector, applying track skew:
      * (sector + skew * absoluteTrack) mod sectorsPerTrack.
      */
-    int physicalSlot(const Chs &chs) const;
+    int
+    physicalSlot(const Chs &chs) const
+    {
+        const auto spt = static_cast<std::uint32_t>(sectorsPerTrack);
+        if (trackDiv_.divisor() != spt)
+            trackDiv_ = FastDiv(spt);
+        const std::int64_t skewed =
+            chs.sector +
+            static_cast<std::int64_t>(trackSkewSectors) * absoluteTrack(chs);
+        return static_cast<int>(trackDiv_.rem64(skewed));
+    }
 
     /** Validate parameter sanity; throws ConfigError on nonsense. */
     void validate() const;

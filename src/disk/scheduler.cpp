@@ -114,7 +114,8 @@ class VrScheduler : public Scheduler
     std::size_t size() const override { return queue_.size(); }
 
   private:
-    static double
+    // Forced inline: pop() evaluates it once per queued entry.
+    [[gnu::always_inline]] static inline double
     cost(const SchedEntry &entry, int head, SeekDirection direction,
          double penalty)
     {

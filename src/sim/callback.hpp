@@ -17,12 +17,18 @@
  * chunk freed into another thread's pool would outlive the thread that
  * owns its memory.
  *
+ * A closure that is trivially copyable (every hot one: raw pointer and
+ * tick captures) carries no move or destroy op: moving it copies the
+ * inline buffer and destroying it is a no-op, so relocating an event
+ * costs no indirect call.
+ *
  * Move-only (events run once, continuations own their captures) and
  * thread-confined like the EventQueue that stores it.
  */
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -88,6 +94,8 @@ class EventCallback
     }
 
   private:
+    /** move and destroy are null for a trivially copyable inline
+     * closure: its bytes are the whole object. */
     struct Ops
     {
         void (*invoke)(EventCallback &);
@@ -106,14 +114,18 @@ class EventCallback
     static const Ops *
     inlineOps()
     {
+        constexpr bool plain = std::is_trivially_copyable_v<Fn>;
         static constexpr Ops ops = {
             [](EventCallback &cb) { (*inlinePtr<Fn>(cb))(); },
-            [](EventCallback &dst, EventCallback &src) noexcept {
-                ::new (static_cast<void *>(dst.store_.inline_))
-                    Fn(std::move(*inlinePtr<Fn>(src)));
-                inlinePtr<Fn>(src)->~Fn();
+            plain ? nullptr
+                  : +[](EventCallback &dst, EventCallback &src) noexcept {
+                        ::new (static_cast<void *>(dst.store_.inline_))
+                            Fn(std::move(*inlinePtr<Fn>(src)));
+                        inlinePtr<Fn>(src)->~Fn();
+                    },
+            plain ? nullptr : +[](EventCallback &cb) noexcept {
+                inlinePtr<Fn>(cb)->~Fn();
             },
-            [](EventCallback &cb) noexcept { inlinePtr<Fn>(cb)->~Fn(); },
         };
         return &ops;
     }
@@ -142,7 +154,11 @@ class EventCallback
     {
         ops_ = other.ops_;
         if (ops_) {
-            ops_->move(*this, other);
+            if (ops_->move)
+                ops_->move(*this, other);
+            else
+                std::memcpy(store_.inline_, other.store_.inline_,
+                            kInlineCapacity);
             other.ops_ = nullptr;
         }
     }
@@ -151,7 +167,8 @@ class EventCallback
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(*this);
+            if (ops_->destroy)
+                ops_->destroy(*this);
             ops_ = nullptr;
         }
     }

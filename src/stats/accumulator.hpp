@@ -2,8 +2,9 @@
  * @file
  * Streaming statistics accumulator (Welford's algorithm).
  *
- * Collects count/mean/variance/min/max in O(1) memory; used for response
- * times, phase durations, and service times throughout the simulator.
+ * Collects count/mean/variance/min/max in O(1) memory; used for user
+ * response times and reconstruction phase durations. (Per-disk times
+ * are integer tick sums; see DiskStats.)
  */
 #pragma once
 
@@ -15,8 +16,8 @@ namespace declust {
 class Accumulator
 {
   public:
-    /** Add one sample. Inline: this runs several times per simulated
-     * disk access, so a call per sample is measurable. */
+    /** Add one sample. Inline: the controller adds two samples per
+     * completed user request and the reconstructor three per cycle. */
     void
     add(double x)
     {

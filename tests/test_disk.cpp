@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "disk/disk.hpp"
 #include "disk/geometry.hpp"
@@ -183,7 +186,7 @@ TEST_F(DiskSim, SingleAccessWithinPhysicalBounds)
     disk->submit({631000, 8, false}, [&] { ++done; });
     eq.runToCompletion();
     EXPECT_EQ(done, 1);
-    const double ms = disk->stats().serviceMs.mean();
+    const double ms = disk->stats().meanServiceMs();
     // Seek (<=25) + rotation (<13.9) + transfer (~2.3).
     EXPECT_GT(ms, 2.0);
     EXPECT_LT(ms, 42.0);
@@ -198,7 +201,7 @@ TEST_F(DiskSim, ZeroDistanceAccessIsRotationBound)
     // Head starts at cylinder 0, sector 0, time 0: no seek, no wait.
     EXPECT_EQ(done, 1);
     const double transferMs = 13.9 * 8 / 48;
-    EXPECT_NEAR(disk->stats().serviceMs.mean(), transferMs, 0.01);
+    EXPECT_NEAR(disk->stats().meanServiceMs(), transferMs, 0.01);
 }
 
 TEST_F(DiskSim, RandomAccessRateNear46PerSecond)
@@ -251,7 +254,7 @@ TEST_F(DiskSim, SequentialUnitReadsFasterThanRandom)
     };
     disk->submit({sector, 8, false}, next);
     eq.runToCompletion();
-    const double seqMs = disk->stats().serviceMs.mean();
+    const double seqMs = disk->stats().meanServiceMs();
     // Sequential chains complete in far less than a random access.
     EXPECT_LT(seqMs, 6.0);
 }
@@ -326,7 +329,7 @@ TEST_F(DiskSim, StatsReset)
     eq.runToCompletion();
     disk->resetStats();
     EXPECT_EQ(disk->stats().reads, 0u);
-    EXPECT_EQ(disk->stats().serviceMs.count(), 0u);
+    EXPECT_EQ(disk->stats().completions(), 0u);
 }
 
 TEST_F(DiskSim, BackToBackSequentialUnitsCostOnlyTransfer)
@@ -391,7 +394,7 @@ TEST_F(DiskSim, ScaledGeometryKeepsServiceTimes)
         };
         d.submit({0, 8, false}, next);
         q.runToCompletion();
-        return d.stats().serviceMs.mean();
+        return d.stats().meanServiceMs();
     };
     EXPECT_NEAR(meanService(1), meanService(14), 1.0);
 }
@@ -540,6 +543,101 @@ TEST_F(DiskSim, WithoutSeparationBackgroundIsNormal)
     // nearer — here b and c are adjacent, order follows the scheduler.
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], 0);
+}
+
+/**
+ * The integer statistics must be exact sums over what a tracer sees:
+ * for every scheduler, with and without a background queue, a random
+ * open-loop mix of reads, writes and background requests.
+ */
+class DiskStatsSums
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+TEST_P(DiskStatsSums, IntegerSumsMatchAccessRecords)
+{
+    const auto [sched, separate] = GetParam();
+    const DiskGeometry g = DiskGeometry::ibm0661Scaled(1);
+    EventQueue eq;
+    Disk disk(eq, g, makeScheduler(sched, g.cylinders), 0,
+              separate ? makeScheduler(sched, g.cylinders) : nullptr);
+    std::vector<AccessRecord> records;
+    disk.setTracer(
+        [&records](const AccessRecord &r) { records.push_back(r); });
+
+    Rng rng(11);
+    const std::int64_t units = g.totalSectors() / 8;
+    // ~60 requests/s against a ~46/s disk: queues build and drain, so
+    // both the idle fast path and the scheduler path are exercised.
+    Tick at = 0;
+    for (int i = 0; i < 600; ++i) {
+        at += msToTicks(rng.exponential(1000.0 / 60.0));
+        DiskRequest r;
+        r.startSector = static_cast<std::int64_t>(rng.uniformInt(
+                            static_cast<std::uint64_t>(units))) *
+                        8;
+        r.sectorCount = 8;
+        r.isWrite = rng.uniform() < 0.4;
+        r.priority = rng.uniform() < 0.3 ? Priority::Background
+                                         : Priority::Normal;
+        r.onComplete = [](void *, IoStatus) {};
+        eq.scheduleAt(at, [&disk, r] { disk.submit(r); });
+    }
+    eq.runToCompletion();
+
+    ASSERT_EQ(records.size(), 600u);
+    Tick service = 0, queue = 0;
+    std::uint64_t reads = 0, writes = 0, waited = 0;
+    for (const AccessRecord &r : records) {
+        service += r.completed - r.dispatched;
+        queue += r.dispatched - r.enqueued;
+        ++(r.isWrite ? writes : reads);
+        waited += r.dispatched > r.enqueued;
+    }
+    const DiskStats &st = disk.stats();
+    EXPECT_EQ(st.serviceTicks, service);
+    EXPECT_EQ(st.queueTicks, queue);
+    EXPECT_EQ(st.reads, reads);
+    EXPECT_EQ(st.writes, writes);
+    EXPECT_EQ(st.reads + st.writes, records.size());
+    EXPECT_EQ(st.completions(), records.size());
+    EXPECT_GT(waited, 0u);
+    EXPECT_LT(waited, records.size());
+    EXPECT_DOUBLE_EQ(st.meanResponseMs(),
+                     ticksToMs(service + queue) / 600.0);
+    EXPECT_DOUBLE_EQ(st.meanQueueMs(), ticksToMs(queue) / 600.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, DiskStatsSums,
+    ::testing::Combine(::testing::Values(std::string("fcfs"), "sstf",
+                                         "scan", "cvscan"),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::get<0>(info.param) +
+               (std::get<1>(info.param) ? "_background" : "_shared");
+    });
+
+TEST_F(DiskSim, IdleSubmitDispatchesAtOnce)
+{
+    makeDisk(DiskGeometry::ibm0661());
+    std::vector<AccessRecord> records;
+    disk->setTracer(
+        [&records](const AccessRecord &r) { records.push_back(r); });
+    eq.scheduleAt(1000, [this] { disk->submit({8000, 8, false}, [] {}); });
+    eq.scheduleAt(1001, [this] { disk->submit({16000, 8, true}, [] {}); });
+    // Submitted to the idle disk: in service before submit returns.
+    eq.scheduleAt(1000, [this] { EXPECT_TRUE(disk->busy()); });
+    eq.runToCompletion();
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].enqueued, 1000u);
+    EXPECT_EQ(records[0].dispatched, records[0].enqueued);
+    // The second arrived while the first was in service and queued.
+    EXPECT_EQ(records[1].enqueued, 1001u);
+    EXPECT_EQ(records[1].dispatched, records[0].completed);
+    EXPECT_EQ(disk->stats().queueTicks,
+              records[1].dispatched - records[1].enqueued);
 }
 
 } // namespace

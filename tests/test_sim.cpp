@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -203,6 +204,77 @@ TEST(EventCallback, MoveTransfersOwnership)
     EXPECT_EQ(*counter, 2);
     { EventCallback drop = std::move(c); }
     EXPECT_EQ(counter.use_count(), 1); // destructor released the capture
+}
+
+TEST(EventCallback, TrivialClosureSurvivesSlotReuse)
+{
+    // A plain-data closure near the inline capacity: moved by copying
+    // the buffer, with no move or destroy op. Each event re-schedules
+    // itself into the slot its own dispatch just freed, so a stale or
+    // torn copy would show up as a mismatched payload.
+    std::vector<std::uint64_t> seen;
+    EventQueue q;
+    struct Step
+    {
+        EventQueue *q;
+        std::vector<std::uint64_t> *seen;
+        std::uint64_t id, twice, thrice, hops;
+        void
+        operator()() const
+        {
+            EXPECT_EQ(twice, 2 * id);
+            EXPECT_EQ(thrice, 3 * id);
+            seen->push_back(id);
+            if (hops > 0)
+                q->scheduleIn(1 + id % 3,
+                              Step{q, seen, id, twice, thrice, hops - 1});
+        }
+    };
+    static_assert(std::is_trivially_copyable_v<Step>);
+    static_assert(sizeof(Step) <= EventCallback::kInlineCapacity);
+    for (std::uint64_t id = 0; id < 16; ++id)
+        q.scheduleAt(id, Step{&q, &seen, id, 2 * id, 3 * id, 5});
+    q.runToCompletion();
+    ASSERT_EQ(seen.size(), 16u * 6);
+    for (std::uint64_t id = 0; id < 16; ++id)
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), id), 6);
+}
+
+TEST(EventCallback, SharedCaptureReleasedExactlyOnce)
+{
+    int deletes = 0;
+    auto counted = [&deletes] {
+        return std::shared_ptr<int>(new int(0), [&deletes](int *p) {
+            ++deletes;
+            delete p;
+        });
+    };
+
+    // Released when the event runs, after moving through the queue.
+    {
+        EventQueue q;
+        auto p = counted();
+        int runs = 0;
+        q.scheduleAt(3, [p, &runs] { runs += *p + 1; });
+        q.scheduleAt(1, [] {}); // shifts the heap under the pending one
+        p.reset();
+        EXPECT_EQ(deletes, 0);
+        q.runToCompletion();
+        EXPECT_EQ(runs, 1);
+        EXPECT_EQ(deletes, 1);
+    }
+    EXPECT_EQ(deletes, 1);
+
+    // Released when the queue is destroyed with the event pending.
+    deletes = 0;
+    {
+        EventQueue q;
+        auto p = counted();
+        q.scheduleAt(5, [p] { ADD_FAILURE() << "must not run"; });
+        p.reset();
+        EXPECT_EQ(deletes, 0);
+    }
+    EXPECT_EQ(deletes, 1);
 }
 
 TEST(SlabPool, RecyclesChunksWithoutNewSlabs)
