@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Golden-output tests: every checked-in CI golden, table-driven.
+
+Each case runs bench binaries with the flags CI uses and requires the
+output to match a golden in ci/ byte for byte. A case is a list of
+groups; every run in a group varies only --jobs, --shards or
+--cluster-workers, so a group checks two contracts at once: the output
+has not drifted, and it is a pure function of (config, seed, shards),
+never of how many threads produced it. A group without a golden only
+requires its runs to agree with each other.
+
+A run is one or more commands. Its output is their concatenated
+stdout, or the file a command writes where its argv says {out}.
+
+  python3 tests/goldens.py --bin-dir build/bench --ci-dir ci [CASE ...]
+
+With no CASE every case runs. CMakeLists.txt registers one ctest per
+case, named golden_<case>.
+"""
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+SMOKE = ["--warmup", "0.5", "--measure", "2"]
+TINY = ["--warmup", "0.2", "--measure", "0.5", "--cylinders", "60",
+        "--rates", "105"]
+ROBUST = SMOKE + ["--fail-slow", "0,4,0.3,150,0.0005",
+                  "--scrub-interval", "5", "--hedge-sweep", "0,30"]
+MTTDL = ["--windows", "40", "--warmup", "0.5", "--stripes", "3,6",
+         "--seed", "7", "--campaign", "{out}"]
+CLUSTER = SMOKE + ["--k-list", "0,2"]
+
+
+def fig8(args, jobs, shards):
+    return [["fig8_recon_single"] + args +
+            ["--jobs", str(jobs), "--shards", str(shards)]]
+
+
+def grid(golden, make, cells):
+    """One group: the same run at every (jobs, shards) cell."""
+    return (golden, [make(*cell) for cell in cells])
+
+
+CASES = {
+    # --shards 1 reproduces the pre-sharding golden; --shards 4 must
+    # not depend on --jobs.
+    "fig8_tiny": [
+        grid("golden_fig8_tiny.out", lambda j, s: fig8(TINY, j, s),
+             [(1, 1)]),
+        grid(None, lambda j, s: fig8(TINY, j, s), [(1, 4), (4, 4)]),
+    ],
+    "fig8_smoke": [
+        grid("golden_fig8_smoke.out", lambda j, s: fig8(SMOKE, j, s),
+             [(1, 1), (4, 1)]),
+        grid("golden_fig8_smoke_s4.out", lambda j, s: fig8(SMOKE, j, s),
+             [(1, 4), (4, 4)]),
+    ],
+    # The campaign record, not stdout, is the golden.
+    "mttdl": [
+        grid(f"golden_mttdl_smoke{sfx}.json",
+             lambda j, s: [["bench_mttdl"] + MTTDL +
+                           ["--jobs", str(j), "--shards", str(s)]],
+             [(1, shards), (4, shards)])
+        for shards, sfx in ((1, ""), (4, "_s4"))
+    ],
+    "robustness": [
+        grid(f"golden_robustness_smoke{sfx}.out",
+             lambda j, s: [["bench_robustness"] + ROBUST +
+                           ["--jobs", str(j), "--shards", str(s)]],
+             [(1, shards), (4, shards)])
+        for shards, sfx in ((1, ""), (4, "_s4"))
+    ],
+    "cluster": [
+        grid("golden_cluster_smoke.out",
+             lambda w: [["bench_cluster"] + CLUSTER +
+                        ["--cluster-workers", str(w)]],
+             [(1,), (4,)]),
+    ],
+    # fig8 runs CVSCAN with one queue per disk; FCFS, SSTF, SCAN and
+    # the background (priority) queue are pinned only here.
+    "disk_paths": [
+        ("golden_disk_paths_smoke.out",
+         [[["ablation_scheduler"] + SMOKE, ["ablation_priority"] + SMOKE]]),
+    ],
+}
+
+
+def run(bin_dir, commands, scratch):
+    """Run @p commands in order; return their output bytes."""
+    out_path = os.path.join(scratch, "out")
+    stdout = b""
+    wrote_file = False
+    for argv in commands:
+        argv = [os.path.join(bin_dir, argv[0])] + [
+            out_path if a == "{out}" else a for a in argv[1:]]
+        wrote_file |= out_path in argv
+        proc = subprocess.run(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, check=False)
+        if proc.returncode != 0:
+            sys.exit(f"FAIL: {' '.join(argv)} exited {proc.returncode}")
+        stdout += proc.stdout
+    if not wrote_file:
+        return stdout
+    with open(out_path, "rb") as f:
+        return f.read()
+
+
+def check(name, groups, bin_dir, ci_dir):
+    with tempfile.TemporaryDirectory() as scratch:
+        for golden, runs in groups:
+            expected = None
+            if golden:
+                with open(os.path.join(ci_dir, golden), "rb") as f:
+                    expected = f.read()
+            for commands in runs:
+                got = run(bin_dir, commands, scratch)
+                if expected is None:
+                    expected = got
+                elif got != expected:
+                    against = golden or "the group's first run"
+                    shown = " | ".join(" ".join(c) for c in commands)
+                    sys.exit(f"FAIL [{name}]: {shown} differs from "
+                             f"{against}")
+            print(f"ok [{name}]: {len(runs)} run(s) match "
+                  f"{golden or 'each other'}")
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--bin-dir", required=True,
+                        help="directory holding the bench binaries")
+    parser.add_argument("--ci-dir", required=True,
+                        help="directory holding the golden files")
+    parser.add_argument("cases", nargs="*", metavar="CASE",
+                        help=f"one of {', '.join(CASES)} (default: all)")
+    args = parser.parse_args()
+    unknown = [name for name in args.cases if name not in CASES]
+    if unknown:
+        parser.error(f"unknown case(s): {', '.join(unknown)}")
+    for name in args.cases or CASES:
+        check(name, CASES[name], args.bin_dir, args.ci_dir)
+
+
+if __name__ == "__main__":
+    main()
