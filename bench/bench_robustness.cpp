@@ -10,7 +10,8 @@
  * workload and the injected fault fixed and varies only --hedge-sweep,
  * so the p99/p999 columns isolate what deadline-driven reconstruct
  * races buy. Hedge accounting (launched / wins / wasted) shows what
- * they cost.
+ * they cost. Like the response times, every counter column covers the
+ * measured window only (ArraySimulation::windowCounters), not warmup.
  *
  * Supports --shards / --jobs with the usual contract: output is a pure
  * function of (seed, shards), byte-identical at any worker count.
@@ -26,9 +27,7 @@ namespace {
 struct RobustShard
 {
     declust::PhaseSample user;
-    declust::HedgeStats hedges;
-    declust::ScrubStats scrub;
-    std::uint64_t sectorRepairs = 0;
+    declust::WindowCounters window;
     std::uint64_t events = 0;
     double simSec = 0.0;
 };
@@ -93,27 +92,22 @@ run(int argc, char **argv)
             RobustShard result;
             result.user = sim.samplePhase(
                 shardSeconds(measure, shards));
-            result.hedges = sim.controller().hedgeStats();
-            if (const Scrubber *scrubber = sim.scrubber())
-                result.scrub = scrubber->stats();
-            result.sectorRepairs =
-                sim.controller().faultStats().sectorRepairs;
+            result.window = sim.windowCounters();
             result.events = sim.eventQueue().executed();
             result.simSec = ticksToSec(sim.eventQueue().now());
             return result;
         };
         trial.merge = [hedgeMs](std::vector<RobustShard> &parts) {
             RobustShard &merged = parts[0];
+            WindowCounters &w = merged.window;
             for (std::size_t s = 1; s < parts.size(); ++s) {
+                const WindowCounters &part = parts[s].window;
                 ShardMerge::into(merged.user, parts[s].user);
-                merged.hedges.launched += parts[s].hedges.launched;
-                merged.hedges.wins += parts[s].hedges.wins;
-                merged.hedges.wasted += parts[s].hedges.wasted;
-                merged.scrub.unitsScrubbed +=
-                    parts[s].scrub.unitsScrubbed;
-                merged.scrub.defectsRepaired +=
-                    parts[s].scrub.defectsRepaired;
-                merged.sectorRepairs += parts[s].sectorRepairs;
+                w.hedges.launched += part.hedges.launched;
+                w.hedges.wins += part.hedges.wins;
+                w.hedges.wasted += part.hedges.wasted;
+                w.scrub.unitsScrubbed += part.scrub.unitsScrubbed;
+                w.sectorRepairs += part.sectorRepairs;
                 merged.events += parts[s].events;
                 merged.simSec += parts[s].simSec;
             }
@@ -125,11 +119,11 @@ run(int argc, char **argv)
                  fmtDouble(merged.user.p99Ms(), 1),
                  fmtDouble(merged.user.p999Ms(), 1),
                  std::to_string(merged.user.reads),
-                 std::to_string(merged.hedges.launched),
-                 std::to_string(merged.hedges.wins),
-                 std::to_string(merged.hedges.wasted),
-                 std::to_string(merged.scrub.unitsScrubbed),
-                 std::to_string(merged.sectorRepairs)});
+                 std::to_string(w.hedges.launched),
+                 std::to_string(w.hedges.wins),
+                 std::to_string(w.hedges.wasted),
+                 std::to_string(w.scrub.unitsScrubbed),
+                 std::to_string(w.sectorRepairs)});
             result.events = merged.events;
             result.simSec = merged.simSec;
             return result;

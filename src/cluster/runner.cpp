@@ -222,8 +222,6 @@ ClusterRunner::run(double warmupSec, double measureSec)
         res.wall.advanceSec.assign(static_cast<std::size_t>(active), 0.0);
 
     std::uint64_t eventsAtMeasureStart = 0;
-    std::vector<HedgeStats> hedgeAtMeasureStart(
-        static_cast<std::size_t>(n));
     // Built once: the round body is the same every epoch.
     const std::function<void(int)> round = [this](int w) { runWorker(w); };
     router_.draw(0, epochTicks_);
@@ -234,12 +232,8 @@ ClusterRunner::run(double warmupSec, double measureSec)
             // Measurement window opens: clear per-array stats and the
             // cluster counters; in-flight warmup ops complete into the
             // window like any open-loop phase boundary.
-            for (int i = 0; i < n; ++i) {
-                ArrayController &ctl = topology_.array(i).controller();
-                ctl.resetStats();
-                hedgeAtMeasureStart[static_cast<std::size_t>(i)] =
-                    ctl.hedgeStats();
-            }
+            for (int i = 0; i < n; ++i)
+                topology_.array(i).resetStats();
             std::fill(counters_.begin(), counters_.end(),
                       ClusterCounters{});
             eventsAtMeasureStart = totalEventsExecuted();
@@ -296,11 +290,10 @@ ClusterRunner::run(double warmupSec, double measureSec)
                 ctl.reconstructedCount());
         ShardMerge::into(res.phase, sim.samplePhase(res.measuredSec));
         res.counters.merge(c);
-        const HedgeStats &h = ctl.hedgeStats();
-        const HedgeStats &h0 = hedgeAtMeasureStart[s];
-        res.hedges.launched += h.launched - h0.launched;
-        res.hedges.wins += h.wins - h0.wins;
-        res.hedges.wasted += h.wasted - h0.wasted;
+        const HedgeStats h = sim.windowCounters().hedges;
+        res.hedges.launched += h.launched;
+        res.hedges.wins += h.wins;
+        res.hedges.wasted += h.wasted;
     }
     res.events = totalEventsExecuted() - eventsAtMeasureStart;
     res.sustainedIops =

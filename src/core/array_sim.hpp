@@ -20,6 +20,7 @@
 #include "array/controller.hpp"
 #include "array/types.hpp"
 #include "core/reconstructor.hpp"
+#include "core/scrubber.hpp"
 #include "disk/geometry.hpp"
 #include "ec/data_plane.hpp"
 #include "layout/layout.hpp"
@@ -31,7 +32,6 @@
 namespace declust {
 
 class HealthMonitor;
-class Scrubber;
 
 /** Everything needed to stand up one experiment. */
 struct SimConfig
@@ -168,6 +168,18 @@ struct ReconOutcome
     double totalRepairSec = 0.0;
 };
 
+/**
+ * The lifetime counters a measurement window does not clear (hedges,
+ * scrub, sector repairs), as one window's share: where they stand now
+ * minus where they stood when the window opened.
+ */
+struct WindowCounters
+{
+    HedgeStats hedges;
+    ScrubStats scrub;
+    std::uint64_t sectorRepairs = 0;
+};
+
 /** One simulated array with phase orchestration. */
 class ArraySimulation
 {
@@ -268,9 +280,22 @@ class ArraySimulation
     /** Hot spares not yet consumed by retireDisk(). */
     int sparesLeft() const { return sparesLeft_; }
 
+    /**
+     * Open a measurement window: clear the user and per-disk
+     * statistics and note where the lifetime counters stand, so that
+     * windowCounters() reports this window's share alone. Every phase
+     * above calls it when its measured window starts.
+     */
+    void resetStats();
+
+    /** Hedge, scrub and sector-repair counts since resetStats(). */
+    WindowCounters windowCounters() const;
+
   private:
     PhaseStats collectPhase() const;
     ReconOutcome runReconstruction();
+    /** The lifetime counters as they stand now. */
+    WindowCounters lifetimeCounters() const;
 
     SimConfig config_;
     EventQueue eq_;
@@ -281,6 +306,8 @@ class ArraySimulation
     /** Event-driven rebuild owned across epochs (cluster mode). */
     std::unique_ptr<Reconstructor> rebuild_;
     int sparesLeft_ = 0;
+    /** lifetimeCounters() when the current window opened. */
+    WindowCounters windowStart_;
 };
 
 /**

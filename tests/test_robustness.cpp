@@ -123,6 +123,21 @@ TEST(Hedging, AccountingInvariantHolds)
     EXPECT_EQ(hs.launched, hs.wins + hs.wasted);
 }
 
+TEST(Hedging, WindowCountersExcludeWarmup)
+{
+    ArraySimulation sim(failSlowConfig(30.0));
+    sim.runFaultFree(1.0, 3.0);
+    const HedgeStats &life = sim.controller().hedgeStats();
+    const HedgeStats w = sim.windowCounters().hedges;
+    // Warmup launched hedges too; the window's share leaves them out,
+    // as resetStats() leaves out warmup response times.
+    EXPECT_GT(w.launched, 0u);
+    EXPECT_LT(w.launched, life.launched);
+    EXPECT_LT(w.wins + w.wasted, life.wins + life.wasted);
+    sim.resetStats();
+    EXPECT_EQ(sim.windowCounters().hedges.launched, 0u);
+}
+
 TEST(Hedging, DeterministicAcrossRuns)
 {
     SimConfig cfg = failSlowConfig(30.0);
@@ -186,6 +201,23 @@ TEST(Scrubbing, DrainsLatentDefects)
     EXPECT_EQ(ss.unitsLost, 0u);
     sim.drain();
     EXPECT_TRUE(sim.controller().quiescent());
+}
+
+TEST(Scrubbing, WindowCountersExcludeWarmup)
+{
+    SimConfig cfg = smallConfig();
+    cfg.latentErrorProb = 0.001;
+    cfg.scrubIntervalSec = 2.0;
+    ArraySimulation sim(cfg);
+    sim.runFaultFree(2.0, 4.0);
+    const ScrubStats &life = sim.scrubber()->stats();
+    const WindowCounters w = sim.windowCounters();
+    EXPECT_GT(w.scrub.unitsScrubbed, 0u);
+    EXPECT_LT(w.scrub.unitsScrubbed, life.unitsScrubbed);
+    EXPECT_LE(w.scrub.defectsRepaired, life.defectsRepaired);
+    EXPECT_LE(w.sectorRepairs, sim.controller().faultStats().sectorRepairs);
+    sim.resetStats();
+    EXPECT_EQ(sim.windowCounters().scrub.unitsScrubbed, 0u);
 }
 
 TEST(Scrubbing, DeterministicAcrossRuns)
