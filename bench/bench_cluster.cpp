@@ -12,9 +12,9 @@
  * off|verify.
  *
  * Worker scaling is measured, not projected: every trial times its
- * epoch loop and splits it, through the runner's wall probe, into each
- * worker's advance time, the parallel rounds and the serial barrier
- * gaps. Run the sweep at --cluster-workers 1 and W to read the speedup
+ * round loop, counts its rounds, and splits the loop, through the
+ * runner's wall probe, into each worker's advance time, the parallel
+ * rounds and the serial barrier gaps. Run the sweep at --cluster-workers 1 and W to read the speedup
  * off the two records. The numbers ride in the --json record's
  * cluster_scaling block; they never affect the table.
  */
@@ -34,8 +34,10 @@ using namespace declust;
 struct ScalingSample
 {
     int k = 0;
-    /** Epoch-loop wall clock (advance rounds + serial barrier work). */
+    /** Round-loop wall clock (advance rounds + serial barrier work). */
     double loopWallSec = 0.0;
+    /** Rounds the run took (windows of epochs, see ClusterRunner). */
+    int rounds = 0;
     ClusterWallBreakdown wall;
 };
 
@@ -128,7 +130,7 @@ run(int argc, char **argv)
                 scheduleRollingRebuilds(runner, k, warmup, stagger);
             else
                 scheduleFailureBurst(runner, k, warmup);
-            // The scaling sample times the epoch loop only: topology
+            // The scaling sample times the round loop only: topology
             // construction (layout tables, the router's alias table) is
             // one-time setup, not sustained serving.
             const auto loopStart = std::chrono::steady_clock::now();
@@ -139,6 +141,7 @@ run(int argc, char **argv)
                                     std::chrono::steady_clock::now() -
                                     loopStart)
                                     .count();
+            slot->rounds = res.rounds;
             slot->wall = std::move(res.wall);
 
             TrialResult out;
@@ -184,6 +187,7 @@ run(int argc, char **argv)
         JsonObject entry;
         entry.set("workers", static_cast<int>(w.advanceSec.size()));
         entry.set("loop_wall_sec", s.loopWallSec);
+        entry.set("rounds", s.rounds);
         entry.set("round_sec", w.roundSec);
         entry.set("barrier_sec", w.barrierSec);
         entry.set("advance_sec", w.advanceSec);

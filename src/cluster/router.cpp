@@ -1,5 +1,7 @@
 #include "cluster/router.hpp"
 
+#include <cstddef>
+
 #include "cluster/census.hpp"
 #include "cluster/topology.hpp"
 #include "sim/seed.hpp"
@@ -50,9 +52,7 @@ RequestRouter::RequestRouter(const ClusterConfig &config,
         DECLUST_ASSERT(units <= dataUnits_, "size class of ", units,
                        " units exceeds the array's ", dataUnits_,
                        " data units");
-    drawn_.reserve(static_cast<std::size_t>(config_.requestsPerSec *
-                                            config_.epochSec) +
-                   64);
+    nextArrival_ = secToTicks(rng_.exponential(meanGapSec_));
 }
 
 RequestRouter::Placement
@@ -119,38 +119,49 @@ RequestRouter::route(Tick epochStart, Tick epochEnd,
                      std::vector<std::vector<Arrival>> &out,
                      std::vector<ClusterCounters> &counters)
 {
-    draw(epochStart, epochEnd);
-    assign(census, out, counters);
+    DECLUST_ASSERT(epochStart == drawnTo_, "route() epochs must follow "
+                                           "each other from tick 0");
+    drawUntil(epochEnd);
+    assignUntil(epochEnd, census, out, counters);
 }
 
 void
-RequestRouter::draw(Tick epochStart, Tick epochEnd)
+RequestRouter::drawUntil(Tick horizon)
 {
-    DECLUST_ASSERT(drawn_.empty(), "draw() before the last epoch was "
-                                   "assigned");
-    if (!primed_) {
-        nextArrival_ =
-            epochStart + secToTicks(rng_.exponential(meanGapSec_));
-        primed_ = true;
+    // Drop the assigned prefix once it is at least as long as the rest:
+    // each arrival then moves at most once on average, and the queue
+    // never holds more than twice the arrivals still unassigned.
+    if (drawnHead_ > 0 && drawnHead_ >= drawn_.size() - drawnHead_) {
+        const auto assigned = static_cast<std::ptrdiff_t>(drawnHead_);
+        drawn_.erase(drawn_.begin(), drawn_.begin() + assigned);
+        drawnHead_ = 0;
     }
-    while (nextArrival_ < epochEnd) {
+    while (nextArrival_ < horizon) {
         const std::int64_t object = zipf_.sample(rng_);
         const bool isRead = rng_.bernoulli(config_.readFraction);
         DECLUST_ANALYZE_SUPPRESS(
-            "hot-path-growth: drawn_ is pre-sized in the constructor to a "
-            "full epoch's arrivals; it only grows past that on a burst, "
-            "and then keeps the capacity");
+            "hot-path-growth: drawn_ is pre-sized by ClusterRunner::run "
+            "to more than the two windows of arrivals it can hold; it "
+            "only grows past that on a burst, and then keeps the "
+            "capacity");
         drawn_.push_back({nextArrival_, place(object), isRead});
         nextArrival_ += secToTicks(rng_.exponential(meanGapSec_));
     }
+    if (horizon > drawnTo_)
+        drawnTo_ = horizon;
 }
 
 void
-RequestRouter::assign(const std::vector<ArrayCensus> &census,
-                      std::vector<std::vector<Arrival>> &out,
-                      std::vector<ClusterCounters> &counters)
+RequestRouter::assignUntil(Tick horizon,
+                           const std::vector<ArrayCensus> &census,
+                           std::vector<std::vector<Arrival>> &out,
+                           std::vector<ClusterCounters> &counters)
 {
-    for (const Drawn &d : drawn_) {
+    DECLUST_ASSERT(horizon <= drawnTo_, "assignUntil() past the drawn "
+                                        "horizon");
+    for (; drawnHead_ < drawn_.size() && drawn_[drawnHead_].when < horizon;
+         ++drawnHead_) {
+        const Drawn &d = drawn_[drawnHead_];
         const Placement &p = d.placement;
         int target = p.primary;
         // Slow-array avoidance: reads steer to the replica while the
@@ -172,11 +183,10 @@ RequestRouter::assign(const std::vector<ArrayCensus> &census,
         a.isRead = d.isRead;
         DECLUST_ANALYZE_SUPPRESS(
             "hot-path-growth: buffers are pre-sized by "
-            "ClusterRunner::run to a full epoch's arrivals; "
+            "ClusterRunner::run to a full window's arrivals; "
             "steady-state pushes never reallocate");
         out[static_cast<std::size_t>(target)].push_back(a);
     }
-    drawn_.clear();
 }
 
 } // namespace declust

@@ -10,18 +10,21 @@
  * (Poisson) at a cluster-wide rate; popularity follows Zipf(alpha) over
  * the object population (workload/zipf.hpp).
  *
- * Routing an epoch is two steps. draw() generates the whole epoch's
- * arrivals — times, objects, placements — from one RNG stream; it needs
- * no cluster state, so the runner draws the next epoch while the
- * arrays advance the current one. assign() then steers the drawn reads
- * away from impaired primaries using the census of the epoch just
- * finished, serially at the barrier. The router is only ever used by
- * one thread at a time and its RNG is consumed epoch by epoch in order,
- * so routing is a pure function of (seed, epoch) — which is what makes
- * cluster output byte-identical at any --cluster-workers count.
+ * Routing is two steps over one time-ordered queue. drawUntil() draws
+ * every arrival before a tick horizon — times, objects, placements —
+ * from one RNG stream; it needs no cluster state, so the runner draws
+ * ahead while the arrays advance. assignUntil() then steers the queued
+ * arrivals before a horizon away from impaired primaries using the
+ * census taken at the last barrier, serially at the barrier. The
+ * Poisson stream runs on across calls, so the arrivals drawn are the
+ * same sequence however the horizons chunk them; the router is only
+ * ever used by one thread at a time, so routing is a pure function of
+ * (seed, horizons, census) — which is what makes cluster output
+ * byte-identical at any --cluster-workers count.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -60,7 +63,9 @@ class RequestRouter
     /**
      * Generate every arrival in [epochStart, epochEnd) into the
      * per-array buffers @p out (out[i] is appended to, not cleared),
-     * charging routing counters in @p counters: draw() then assign().
+     * charging routing counters in @p counters: drawUntil() then
+     * assignUntil(). Epochs are routed in order from tick 0, each
+     * starting where the last ended.
      */
     DECLUST_HOT_PATH
     void route(Tick epochStart, Tick epochEnd,
@@ -69,24 +74,29 @@ class RequestRouter
                std::vector<ClusterCounters> &counters);
 
     /**
-     * Draw every arrival in [epochStart, epochEnd) — time, object,
-     * placement, read or write — and hold them for assign(). Epochs
-     * must be drawn in order, each assigned before the next is drawn.
+     * Draw every arrival before @p horizon — time, object, placement,
+     * read or write — and queue it, in time order, for assignUntil().
+     * The Poisson process starts at tick 0 and continues across calls;
+     * a horizon already drawn draws nothing.
      */
     DECLUST_HOT_PATH
-    void draw(Tick epochStart, Tick epochEnd);
+    void drawUntil(Tick horizon);
 
     /**
-     * Route the drawn epoch into @p out (appended to, not cleared),
-     * charging routing counters in @p counters. @p census is the
-     * previous epoch's snapshot; reads whose primary is impaired are
-     * redirected to their replica when the replica is healthy and
-     * avoidance is enabled.
+     * Route the queued arrivals before @p horizon (drawn already) into
+     * @p out (appended to, not cleared, in time order), charging
+     * routing counters in @p counters. @p census is the snapshot of
+     * the last barrier; reads whose primary is impaired are redirected
+     * to their replica when the replica is healthy and avoidance is
+     * enabled.
      */
     DECLUST_HOT_PATH
-    void assign(const std::vector<ArrayCensus> &census,
-                std::vector<std::vector<Arrival>> &out,
-                std::vector<ClusterCounters> &counters);
+    void assignUntil(Tick horizon, const std::vector<ArrayCensus> &census,
+                     std::vector<std::vector<Arrival>> &out,
+                     std::vector<ClusterCounters> &counters);
+
+    /** Room for @p arrivals queued at once, so draws stop growing it. */
+    void reserve(std::size_t arrivals) { drawn_.reserve(arrivals); }
 
     /** Primary array for @p object (placement hash, test hook). */
     int primaryArray(std::int64_t object) const;
@@ -113,12 +123,12 @@ class RequestRouter
     /**
      * Derive the object's base hash once and salt it per field —
      * identical values to the public per-field accessors, but ~3x
-     * fewer mixSeed chains, which matters because placement runs
-     * serially at the barrier for every arrival in the epoch.
+     * fewer mixSeed chains, which matters because every arrival is
+     * placed as it is drawn.
      */
     Placement place(std::int64_t object) const;
 
-    /** One drawn arrival, waiting for assign() to pick its array. */
+    /** One drawn arrival, waiting for assignUntil() to pick its array. */
     struct Drawn
     {
         Tick when;
@@ -135,12 +145,14 @@ class RequestRouter
     std::vector<double> sizeCdf_;
     /** Mean interarrival time, seconds. */
     double meanGapSec_;
-    /** Next undelivered arrival tick (carried across epochs so the
-     * Poisson process is continuous through barriers). */
+    /** Next undrawn arrival tick (the Poisson process is continuous
+     * through barriers), and the horizon drawn so far. */
     Tick nextArrival_ = 0;
-    bool primed_ = false;
-    /** The drawn, not yet assigned epoch. */
+    Tick drawnTo_ = 0;
+    /** Drawn arrivals in time order; those before drawnHead_ are
+     * already assigned. */
     std::vector<Drawn> drawn_;
+    std::size_t drawnHead_ = 0;
 };
 
 } // namespace declust

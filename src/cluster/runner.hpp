@@ -3,29 +3,43 @@
  * Epoch-barriered cluster execution: per-array event cores advanced in
  * parallel by fixed-owner workers, with deterministic merge.
  *
- * Virtual time advances in fixed epochs. Each epoch is two steps:
+ * Virtual time advances in fixed epochs; a ROUND advances every array
+ * through a window of one or more consecutive epochs. Each round is
+ * two steps:
  *
- *   1. SERIAL barrier work — apply any rebuild scheduled for this
- *      epoch, then the router steers the epoch's arrivals (drawn from
- *      one RNG stream during the previous round) around impaired
- *      arrays using the PREVIOUS epoch's census.
- *   2. PARALLEL round — worker 0 draws the next epoch's arrivals,
- *      then every worker advances the arrays it owns: each
- *      array schedules its buffered arrivals on its private event core,
- *      runs to the epoch horizon, then takes its own census snapshot
- *      and folds it into its own counters. An array touches nothing but
- *      its own state, so workers never contend and the dispatch streams
- *      are identical at any worker count.
+ *   1. SERIAL barrier work — apply any rebuild scheduled for the
+ *      window's first epoch, pick the window, then the router steers
+ *      the window's arrivals (drawn from one RNG stream during earlier
+ *      rounds) around impaired arrays using the census of the last
+ *      barrier.
+ *   2. PARALLEL round — worker 0 draws ahead up to one window cap past
+ *      this window, then every worker advances the arrays it owns:
+ *      epoch by epoch through the window, each array schedules that
+ *      epoch's buffered arrivals on its private event core, runs to
+ *      the epoch horizon, then takes its own census snapshot and folds
+ *      it into its own counters. An array touches nothing but its own
+ *      state, so workers never contend and the dispatch streams are
+ *      identical at any worker count.
+ *
+ * A window spans more than one epoch only while no steering decision
+ * can change inside it: avoidance is off, or every census is
+ * unimpaired and no array has a planned failure pending or a health
+ * monitor (then nothing can impair an array before the next planned
+ * rebuild, so the per-epoch census the router would have read is
+ * unimpaired too). Windows end at the warmup boundary, at the next
+ * planned rebuild, at the end of the run, or after 64 epochs;
+ * every other round is one epoch. An array's event stream is the same
+ * either way, so windows change only how often the workers meet.
  *
  * Every array has a fixed owner: worker w owns arrays w, w+W, w+2W,
- * ... and advances them, in that order, in every epoch of the run, so
+ * ... and advances them, in that order, in every round of the run, so
  * an array's event core and disks stay in that worker's caches. A
  * worker that finishes its own arrays helps the others, taking their
  * not-yet-started arrays from the back of each owner's list; a
  * per-array claim stamp makes sure each array advances exactly once
- * per epoch. Helping only moves the tail of a slow owner's list, so
+ * per round. Helping only moves the tail of a slow owner's list, so
  * most arrays never leave their owner, yet one slow core (or one hot
- * array) does not hold every epoch back. Nothing an array allocates is
+ * array) does not hold every round back. Nothing an array allocates is
  * tied to a thread — its pools belong to its controller — so an array
  * may run on any worker. The round hand-over is WorkerPool's
  * spin-then-park barrier, and the calling thread is worker 0.
@@ -35,6 +49,11 @@
  * advance, the whole run is a pure function of (config, seed):
  * byte-identical output for any --cluster-workers count, with or
  * without the SIMD data plane.
+ *
+ * An array that throws stops its own advance, but the round still
+ * advances every other array through the whole window, and the run
+ * surfaces the error of the lowest (epoch, array) pair: the one a run
+ * of one epoch per round on one worker meets first.
  *
  * Wall-clock instrumentation is injected (setWallProbe) so this layer
  * stays free of real-time dependencies; the probe is called once at
@@ -63,7 +82,7 @@
 namespace declust {
 
 /**
- * Host time of the epoch loop, split by worker. Derived from the wall
+ * Host time of the round loop, split by worker. Derived from the wall
  * probe's advance stamps alone; purely observational.
  */
 struct ClusterWallBreakdown
@@ -71,7 +90,7 @@ struct ClusterWallBreakdown
     /** Per worker: seconds spent inside the advances it ran. */
     std::vector<double> advanceSec;
     /** Summed wall of the parallel rounds, first advance start to last
-     * advance end of each epoch. Worker w idled for roundSec minus
+     * advance end of each round. Worker w idled for roundSec minus
      * advanceSec[w] of it, waiting for the round's slowest worker. */
     double roundSec = 0.0;
     /** Summed gaps between rounds: serial barrier work (rebuild
@@ -101,7 +120,10 @@ struct ClusterResult
     int arrays = 0;
     int measuredEpochs = 0;
     int totalEpochs = 0;
-    /** Per-worker split of the epoch loop's host time over ALL epochs
+    /** Rounds the run took, warmup included: one per window of epochs
+     * (an output of the window rule, not a knob). */
+    int rounds = 0;
+    /** Per-worker split of the round loop's host time over ALL rounds
      * (warmup included); empty unless a wall probe was installed. */
     ClusterWallBreakdown wall;
 };
@@ -162,7 +184,9 @@ class ClusterRunner
         int pendingFail = -1;
         /** A completed rebuild was already folded into counters. */
         bool rebuildCounted = false;
-        /** Probe stamps of this epoch's advance and the worker that ran
+        /** Epoch the advance is in (names the epoch of an error). */
+        int epoch = 0;
+        /** Probe stamps of this round's advance and the worker that ran
          * it (probe runs only). */
         int worker = 0;
         double start = 0.0;
@@ -175,11 +199,15 @@ class ClusterRunner
     /** Claim array @p i for the current round (false: already taken). */
     bool claim(int i);
 
-    /** Advance array @p i to the current epoch horizon (claimant only). */
+    /** Advance array @p i through the current window (claimant only). */
     DECLUST_HOT_PATH
     void advanceArray(int i, int w);
 
-    /** Fold the finished epoch's probe stamps into @p out. */
+    /** True when no steering decision can change until the next
+     * planned rebuild, so a window may span many epochs. */
+    bool steeringFixed() const;
+
+    /** Fold the finished round's probe stamps into @p out. */
     void collectWalls(ClusterWallBreakdown &out);
 
     /** Sum of events executed by every array's event core. */
@@ -192,10 +220,12 @@ class ClusterRunner
         int disk;
     };
 
-    /** The first array a worker saw throw this round (-1 = none). */
+    /** The lowest (epoch, array) failure a worker saw this round
+     * (array -1: worker 0's draw-ahead failed). */
     struct WorkerError
     {
-        int array = -1;
+        int epoch = 0;
+        int array = 0;
         std::exception_ptr error;
     };
 
@@ -211,19 +241,21 @@ class ClusterRunner
     std::vector<PlannedRebuild> planned_;
     /** Per-array arrival staging, filled by the router at barriers. */
     std::vector<std::vector<Arrival>> buffers_;
-    /** Last epoch's census (what the router routes against); entry i is
+    /** Latest census (what the router routes against); entry i is
      * written by whichever worker advances array i. */
     std::vector<ArrayCensus> census_;
     std::vector<ClusterCounters> counters_;
     std::vector<ArraySlot> slots_;
     std::vector<WorkerError> errors_;
 
-    /** Epoch length; the round in progress, the horizon it advances
-     * to, and whether worker 0 draws the next epoch's arrivals in it. */
+    /** Epoch length; the round in progress, the window of epochs
+     * [windowStart_, windowEnd_) it advances, and the horizon worker 0
+     * draws ahead to in it. */
     Tick epochTicks_ = 0;
     std::uint32_t round_ = 0;
-    Tick epochEnd_ = 0;
-    bool drawNext_ = false;
+    int windowStart_ = 0;
+    int windowEnd_ = 0;
+    Tick drawTo_ = 0;
     /** Probe stamp ending the previous round (probe runs only). */
     double lastRoundEnd_ = -1.0;
 };

@@ -14,12 +14,14 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/census.hpp"
 #include "cluster/router.hpp"
 #include "cluster/runner.hpp"
 #include "cluster/topology.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "util/error.hpp"
 
@@ -157,7 +159,7 @@ TEST(Cluster, WallProbeSplitsTheLoopByWorker)
         EXPECT_LE(w, res.wall.roundSec);
         busy += w;
     }
-    EXPECT_GE(busy, static_cast<double>(res.totalEpochs * res.arrays));
+    EXPECT_GE(busy, static_cast<double>(res.rounds * res.arrays));
     EXPECT_GT(res.wall.barrierSec, 0.0);
 
     // Without a probe the loop records nothing.
@@ -168,32 +170,120 @@ TEST(Cluster, WallProbeSplitsTheLoopByWorker)
 
 TEST(Cluster, FailingAdvanceSurfacesTheSameErrorAtAnyWorkerCount)
 {
-    // Arrays 1 and 3 throw from inside their event cores at their first
-    // disk access past 1 s of virtual time. The run must surface the
-    // same error at every worker count: the one a serial run meets
-    // first (lowest failing array of the first failing epoch).
-    std::string serial;
-    for (const int workers : {1, 2, 4}) {
-        ClusterRunner runner(smallCluster(), workers);
-        for (const int i : {1, 3}) {
-            runner.topology().array(i).controller().setAccessTracer(
-                [i](const AccessRecord &r) {
-                    if (r.completed >= secToTicks(1.0))
-                        throw std::runtime_error("array " +
-                                                 std::to_string(i));
-                });
+    // Arrays throw from inside their event cores at their first disk
+    // access past a set virtual time. The run must surface the same
+    // error at every worker count: the one a serial run of one epoch
+    // per round meets first (lowest failing array of the first failing
+    // epoch).
+    struct Case
+    {
+        std::vector<std::pair<int, double>> throwAfter;
+        /** Expected message; empty: whatever one worker surfaces. */
+        std::string expected;
+    };
+    const std::vector<Case> cases = {
+        // Both fail in the same epoch: the lower array wins.
+        {{{1, 1.0}, {3, 1.0}}, ""},
+        // Array 3 fails epochs before array 1, though both fail inside
+        // one window and array 1 comes first in every worker's list.
+        {{{3, 1.0}, {1, 1.5}}, "array 3"},
+    };
+    for (const Case &c : cases) {
+        std::string serial = c.expected;
+        for (const int workers : {1, 2, 3, 4}) {
+            ClusterRunner runner(smallCluster(), workers);
+            for (const auto &[i, atSec] : c.throwAfter) {
+                runner.topology().array(i).controller().setAccessTracer(
+                    [i, at = secToTicks(atSec)](const AccessRecord &r) {
+                        if (r.completed >= at)
+                            throw std::runtime_error("array " +
+                                                     std::to_string(i));
+                    });
+            }
+            std::string message;
+            try {
+                runner.run(0.5, 2.0);
+            } catch (const std::runtime_error &e) {
+                message = e.what();
+            }
+            EXPECT_FALSE(message.empty()) << workers << " workers";
+            if (serial.empty())
+                serial = message;
+            EXPECT_EQ(message, serial) << workers << " workers";
         }
-        std::string message;
-        try {
-            runner.run(0.5, 2.0);
-        } catch (const std::runtime_error &e) {
-            message = e.what();
-        }
-        EXPECT_FALSE(message.empty()) << workers << " workers";
-        if (workers == 1)
-            serial = message;
-        EXPECT_EQ(message, serial) << workers << " workers";
     }
+}
+
+TEST(Cluster, QuietRunsAdvanceManyEpochsPerRound)
+{
+    // 6 warmup epochs and 160 measured ones, nothing impaired: one
+    // round for the warmup, then windows of up to 64 epochs.
+    for (const int workers : {1, 4}) {
+        ClusterRunner runner(smallCluster(), workers);
+        const ClusterResult res = runner.run(1.3, 40.0);
+        ASSERT_EQ(res.totalEpochs, 166);
+        EXPECT_LE(res.rounds, (res.totalEpochs + 63) / 64 + 1);
+    }
+}
+
+TEST(Cluster, EpochsWithAnImpairedArrayRunOnePerRound)
+{
+    // Array 0 fails at the warmup boundary and rebuilds through the
+    // whole measured window: after the warmup's one round, every
+    // epoch's steering depends on the census before it, so each
+    // measured epoch is a round of its own.
+    ClusterRunner runner(smallCluster(), 2);
+    runner.scheduleRebuild(0, 1.0);
+    const ClusterResult res = runner.run(1.0, 4.0);
+    ASSERT_EQ(res.counters.degradedEpochs,
+              static_cast<std::uint64_t>(res.measuredEpochs));
+    EXPECT_EQ(res.rounds, 1 + res.measuredEpochs);
+
+    // With avoidance off steering never reads the census, so the
+    // repair runs in one window.
+    ClusterConfig cfg = smallCluster();
+    cfg.avoidImpaired = false;
+    ClusterRunner blind(cfg, 2);
+    blind.scheduleRebuild(0, 1.0);
+    EXPECT_EQ(blind.run(1.0, 4.0).rounds, 2);
+}
+
+TEST(Cluster, HealthMonitorKeepsOneEpochPerRound)
+{
+    // A monitor can flag a disk slow at any epoch, so no window opens.
+    ClusterConfig cfg = smallCluster();
+    cfg.array.healthMonitor = true;
+    ClusterRunner runner(cfg, 2);
+    const ClusterResult res = runner.run(0.5, 2.0);
+    EXPECT_EQ(res.rounds, res.totalEpochs);
+}
+
+TEST(Cluster, ArrayImpairedInsideAWindowIsAnInternalError)
+{
+    // Fail a disk behind the runner's back, mid-window: the epochs after
+    // it were steered on a census that said the array was healthy, so
+    // the advance must refuse to go on.
+    ClusterRunner runner(smallCluster(), 1);
+    ArrayController &ctl = runner.topology().array(2).controller();
+    EventQueue &eq = runner.topology().array(2).eventQueue();
+    bool failed = false;
+    for (int ms = 3000; ms < 3200; ms += 5) {
+        eq.scheduleAt(secToTicks(ms / 1000.0), [&ctl, &failed] {
+            if (!failed && ctl.quiescent()) {
+                ctl.failDisk(0);
+                failed = true;
+            }
+        });
+    }
+    std::string message;
+    try {
+        runner.run(0.5, 10.0);
+    } catch (const InternalError &e) {
+        message = e.what();
+    }
+    EXPECT_TRUE(failed);
+    EXPECT_NE(message.find("array 2 became impaired"), std::string::npos)
+        << message;
 }
 
 TEST(Cluster, CountersMergeIsAssociative)
