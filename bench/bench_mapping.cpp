@@ -16,12 +16,21 @@ using namespace declust;
 
 constexpr int kUnitsPerDisk = 11388; // 2-track-scaled IBM 0661
 
+/**
+ * Units per disk of the G = 18 layout: the 1-track-scaled disk, smaller
+ * than one full table of C(21,18), so only the addressable prefix of
+ * the table is built.
+ */
+constexpr int kPrefixUnitsPerDisk = 5694;
+
 const DeclusteredLayout &
 declusteredLayout(int G)
 {
     static const DeclusteredLayout g4(appendixDesign(4), kUnitsPerDisk);
     static const DeclusteredLayout g10(appendixDesign(10), kUnitsPerDisk);
-    return G == 4 ? g4 : g10;
+    static const DeclusteredLayout g18(appendixDesign(18),
+                                       kPrefixUnitsPerDisk);
+    return G == 4 ? g4 : G == 10 ? g10 : g18;
 }
 
 void
@@ -37,7 +46,7 @@ BM_DeclusteredPlace(benchmark::State &state)
         unit = (unit + 7919) % n;
     }
 }
-BENCHMARK(BM_DeclusteredPlace)->Arg(4)->Arg(10);
+BENCHMARK(BM_DeclusteredPlace)->Arg(4)->Arg(10)->Arg(18);
 
 void
 BM_DeclusteredInvert(benchmark::State &state)
@@ -50,7 +59,7 @@ BM_DeclusteredInvert(benchmark::State &state)
         offset = (offset + 373) % lay.unitsPerDisk();
     }
 }
-BENCHMARK(BM_DeclusteredInvert)->Arg(4)->Arg(10);
+BENCHMARK(BM_DeclusteredInvert)->Arg(4)->Arg(10)->Arg(18);
 
 void
 BM_DeclusteredDataUnitToStripe(benchmark::State &state)
@@ -93,16 +102,21 @@ BM_LeftSymmetricInvert(benchmark::State &state)
 }
 BENCHMARK(BM_LeftSymmetricInvert);
 
+/** G = 4 builds whole tables; G = 18 only the prefix its disk holds. */
 void
 BM_LayoutConstruction(benchmark::State &state)
 {
-    const BlockDesign design = appendixDesign(4);
+    const int G = static_cast<int>(state.range(0));
+    const int units = G == 18 ? kPrefixUnitsPerDisk : kUnitsPerDisk;
+    const BlockDesign design = appendixDesign(G);
     for (auto _ : state) {
-        DeclusteredLayout lay(design, kUnitsPerDisk);
+        DeclusteredLayout lay(design, units);
         benchmark::DoNotOptimize(lay.numStripes());
     }
+    state.counters["table_bytes"] = static_cast<double>(
+        DeclusteredLayout(design, units).mappingTableBytes());
 }
-BENCHMARK(BM_LayoutConstruction);
+BENCHMARK(BM_LayoutConstruction)->Arg(4)->Arg(18);
 
 } // namespace
 

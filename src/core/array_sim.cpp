@@ -4,7 +4,6 @@
 #include "core/health_monitor.hpp"
 #include "core/reconstructor.hpp"
 #include "core/scrubber.hpp"
-#include "designs/generators.hpp"
 #include "designs/select.hpp"
 #include "disk/disk.hpp"
 #include "disk/fault_model.hpp"
@@ -35,24 +34,30 @@ makeLayout(int numDisks, int stripeUnits, const DiskGeometry &geometry,
            int unitSectors, bool distributedSparing)
 {
     geometry.validate();
+    if (unitSectors < 1)
+        DECLUST_FATAL("stripe unit of ", unitSectors,
+                      " sectors must be at least 1 sector");
     const std::int64_t unitsPerDisk =
         geometry.totalSectors() / unitSectors;
-    DECLUST_ASSERT(unitsPerDisk > 0 &&
-                       unitsPerDisk <= INT32_MAX,
-                   "units per disk out of range: ", unitsPerDisk);
+    if (unitsPerDisk < 1) {
+        DECLUST_FATAL("stripe unit of ", unitSectors,
+                      " sectors does not fit a disk of ",
+                      geometry.totalSectors(), " sectors");
+    }
+    if (unitsPerDisk > INT32_MAX)
+        DECLUST_FATAL("disk of ", unitsPerDisk, " units is too large");
     if (distributedSparing) {
-        // The sparing layout maps tuples of G+1 (live stripe + spare).
-        DECLUST_ASSERT(stripeUnits + 1 <= numDisks,
-                       "distributed sparing needs G + 1 <= C");
-        SelectedDesign selected =
-            stripeUnits + 1 == numDisks
-                ? SelectedDesign{makeCompleteDesign(numDisks,
-                                                    stripeUnits + 1),
-                                 DesignSource::Complete, true}
-                : selectDesign(numDisks, stripeUnits + 1);
-        DECLUST_ASSERT(selected.exactG,
-                       "no sparing design with k=", stripeUnits + 1,
-                       " on ", numDisks, " disks");
+        // The sparing layout maps tuples of G+1 (live stripe + spare),
+        // declustered over more than G+1 disks.
+        if (stripeUnits + 1 >= numDisks) {
+            DECLUST_FATAL("distributed sparing needs G + 1 < C (got G=",
+                          stripeUnits, ", C=", numDisks, ")");
+        }
+        SelectedDesign selected = selectDesign(numDisks, stripeUnits + 1);
+        if (!selected.exactG) {
+            DECLUST_FATAL("no sparing design with k=", stripeUnits + 1,
+                          " on ", numDisks, " disks");
+        }
         return std::make_unique<SparedDeclusteredLayout>(
             std::move(selected.design), static_cast<int>(unitsPerDisk));
     }

@@ -61,7 +61,8 @@ struct SimConfig
      * Use a distributed-sparing layout: each parity stripe reserves a
      * spare unit (capacity cost 1/(G+1)) and reconstruction rebuilds
      * into the array instead of onto a replacement disk. Requires
-     * stripeUnits + 1 <= numDisks.
+     * stripeUnits + 1 < numDisks and a block design with k =
+     * stripeUnits + 1 on numDisks disks.
      */
     bool distributedSparing = false;
     /** Stripe unit size in sectors (8 x 512 B = the paper's 4 KB). */
@@ -313,7 +314,9 @@ class ArraySimulation
 /**
  * Construct the layout a SimConfig describes (left-symmetric for
  * G == C, block-design declustered otherwise). Exposed for tests and
- * for tools that inspect layouts without running a simulation.
+ * for tools that inspect layouts without running a simulation. Throws
+ * ConfigError on a unit size below one sector or beyond the disk, and on
+ * a sparing G with G + 1 >= C or no exact (C, G + 1) design.
  */
 std::unique_ptr<Layout> makeLayout(int numDisks, int stripeUnits,
                                    const DiskGeometry &geometry,

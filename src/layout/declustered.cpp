@@ -1,6 +1,7 @@
 #include "layout/declustered.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "designs/design.hpp"
 #include "layout/layout.hpp"
@@ -29,6 +30,11 @@ DeclusteredLayout::DeclusteredLayout(BlockDesign design, int unitsPerDisk,
     unitsPerTable_ = r * G;
     stripeDiv_ = FastDiv(static_cast<std::uint32_t>(stripesPerTable_));
     offsetDiv_ = FastDiv(static_cast<std::uint32_t>(unitsPerTable_));
+    fullTables_ = unitsPerDisk_ / unitsPerTable_;
+    // A disk holding less than one full table addresses only a prefix of
+    // it, and only that prefix is built (section 4.3's table-size limit).
+    const bool prefixOnly = fullTables_ == 0;
+    invStride_ = prefixOnly ? unitsPerDisk_ : unitsPerTable_;
     // DupMajor (the paper's figure 4-2 order) is perfectly balanced only
     // in whole tables; whenever a trailing partial table exists the
     // staggered order keeps the truncated prefix balanced too.
@@ -70,74 +76,124 @@ DeclusteredLayout::DeclusteredLayout(BlockDesign design, int unitsPerDisk,
         }
     }
 
-    // Lay out one full block design table. Duplication `dup` assigns
-    // parity to tuple element (G-1-dup); in DupMajor order duplication 0
-    // (parity on the last element) is written out whole first, matching
-    // the paper's figure 4-2; in Staggered order stripe idx uses tuple
-    // (idx mod b) with parity rotation ((idx mod b) + idx/b) mod G so any
-    // prefix covers tuples and rotations near-uniformly.
-    tableUnits_.assign(static_cast<size_t>(stripesPerTable_) * G,
+    // A prefix stripe's G units sit on distinct disks below unitsPerDisk_,
+    // so at most coveredStripes of them fit.
+    const int tableStripes =
+        prefixOnly ? static_cast<int>(std::min<std::int64_t>(
+                         coveredStripes, stripesPerTable_))
+                   : stripesPerTable_;
+    tableUnits_.assign(static_cast<size_t>(tableStripes) * G,
                        PhysicalUnit{});
-    inverse_.assign(static_cast<size_t>(C) * unitsPerTable_,
-                    InvEntry{-1, -1});
+    // Entries no built stripe claims read as the next table's first
+    // stripe, which invert() treats as beyond the partial table.
+    inverse_.assign(static_cast<size_t>(C) * invStride_,
+                    InvEntry{stripesPerTable_, -1});
     std::vector<int> nextFree(static_cast<size_t>(C), 0);
 
+    // Lay out the full block design table, or its prefix, in idx order,
+    // each unit at the lowest free offset on its disk. Duplication `dup`
+    // assigns parity to tuple element (G-1-dup); in DupMajor order
+    // duplication 0 (parity on the last element) is written out whole
+    // first, matching the paper's figure 4-2; in Staggered order stripe
+    // idx uses tuple (idx mod b) with parity rotation
+    // ((idx mod b) + idx/b) mod G so any prefix covers tuples and
+    // rotations near-uniformly.
+    //
     // Position k-1-j of the stripe (j < specialSlots) is a "special"
     // slot placed on tuple element k-1-((dup+j) mod k): each special
     // slot visits every element exactly once across the G duplications,
     // so parity (and, for sparing layouts, the spare) is balanced.
+    //
+    // The prefix walk stops before the first stripe with a unit at or
+    // past unitsPerDisk_; the whole-table walk runs no such test.
     std::vector<int> slotOfElem(static_cast<size_t>(G));
-    for (int idx = 0; idx < stripesPerTable_; ++idx) {
-        const int t = idx % b;
-        const int dup = order_ == TableOrder::DupMajor
-                            ? idx / b
-                            : (t + idx / b) % G;
-        std::fill(slotOfElem.begin(), slotOfElem.end(), -1);
-        for (int j = 0; j < specialSlots; ++j)
-            slotOfElem[static_cast<size_t>(G - 1 - (dup + j) % G)] =
-                G - 1 - j;
-        const Tuple &tup = design_.tuple(tupleOrder[static_cast<size_t>(t)]);
-        int dataPos = 0;
-        for (int e = 0; e < G; ++e) {
-            const int disk = tup[static_cast<size_t>(e)];
-            const int off = nextFree[static_cast<size_t>(disk)]++;
-            DECLUST_ASSERT(off < unitsPerTable_,
-                           "allocation overflow on disk ", disk);
-            const int special = slotOfElem[static_cast<size_t>(e)];
-            const int pos = special >= 0 ? special : dataPos++;
-            tableUnits_[static_cast<size_t>(idx) * G + pos] =
-                PhysicalUnit{disk, off};
-            inverse_[static_cast<size_t>(disk) * unitsPerTable_ + off] =
-                InvEntry{idx, pos};
-        }
-    }
-    // Balance property of the design: every disk ends exactly full.
-    for (int d = 0; d < C; ++d) {
-        DECLUST_ASSERT(nextFree[static_cast<size_t>(d)] == unitsPerTable_,
-                       "disk ", d, " allocated ",
-                       nextFree[static_cast<size_t>(d)], " of ",
-                       unitsPerTable_, " table units");
-    }
-
-    fullTables_ = unitsPerDisk_ / unitsPerTable_;
-    const int remainder = unitsPerDisk_ % unitsPerTable_;
-
-    // The trailing partial table keeps the longest prefix of stripes whose
-    // every unit falls below the remainder; allocation is deterministic,
-    // so the full-table offsets are reusable.
-    partialStripes_ = 0;
-    for (int idx = 0; idx < stripesPerTable_; ++idx) {
-        bool fits = true;
-        for (int pos = 0; pos < G; ++pos) {
-            if (tableUnits_[static_cast<size_t>(idx) * G + pos].offset >=
-                remainder) {
-                fits = false;
-                break;
+    auto layOut = [&](auto prefix) {
+        int idx = 0;
+        for (; idx < tableStripes; ++idx) {
+            const int t = idx % b;
+            const Tuple &tup =
+                design_.tuple(tupleOrder[static_cast<size_t>(t)]);
+            if constexpr (decltype(prefix)::value) {
+                // Tuple elements are distinct disks, so the stripe fits
+                // iff each of its disks has a free offset left.
+                if (std::any_of(tup.begin(), tup.end(), [&](int disk) {
+                        return nextFree[static_cast<size_t>(disk)] >=
+                               unitsPerDisk_;
+                    }))
+                    break;
+            }
+            const int dup = order_ == TableOrder::DupMajor
+                                ? idx / b
+                                : (t + idx / b) % G;
+            std::fill(slotOfElem.begin(), slotOfElem.end(), -1);
+            for (int j = 0; j < specialSlots; ++j)
+                slotOfElem[static_cast<size_t>(G - 1 - (dup + j) % G)] =
+                    G - 1 - j;
+            int dataPos = 0;
+            for (int e = 0; e < G; ++e) {
+                const int disk = tup[static_cast<size_t>(e)];
+                const int off = nextFree[static_cast<size_t>(disk)]++;
+                DECLUST_ASSERT(off < unitsPerTable_,
+                               "allocation overflow on disk ", disk);
+                const int special = slotOfElem[static_cast<size_t>(e)];
+                const int pos = special >= 0 ? special : dataPos++;
+                tableUnits_[static_cast<size_t>(idx) * G + pos] =
+                    PhysicalUnit{disk, off};
+                inverse_[static_cast<size_t>(disk) * invStride_ + off] =
+                    InvEntry{idx, pos};
             }
         }
-        if (!fits)
-            break;
-        ++partialStripes_;
+        return idx;
+    };
+
+    if (prefixOnly) {
+        // The prefix leaves every disk short of r * G, so prove the
+        // design's balance directly: each disk is in exactly r tuples.
+        std::vector<int> tuplesOn(static_cast<size_t>(C), 0);
+        for (const Tuple &tup : design_.tuples())
+            for (int disk : tup)
+                ++tuplesOn[static_cast<size_t>(disk)];
+        for (int d = 0; d < C; ++d) {
+            DECLUST_ASSERT(tuplesOn[static_cast<size_t>(d)] == r, "disk ",
+                           d, " is in ", tuplesOn[static_cast<size_t>(d)],
+                           " of the design's tuples, not r=", r);
+        }
+        // Every stripe the walk laid out fits and the next one does not,
+        // so the prefix is exactly the truncated partial table. The
+        // forward table keeps its coveredStripes-sized allocation, a few
+        // percent over the prefix: reallocating it to fit would cost
+        // about a tenth of the build.
+        partialStripes_ = layOut(std::true_type{});
+        tableUnits_.resize(static_cast<size_t>(partialStripes_) * G);
+    } else {
+        layOut(std::false_type{});
+        // Balance property of the design: every disk ends exactly full.
+        for (int d = 0; d < C; ++d) {
+            DECLUST_ASSERT(nextFree[static_cast<size_t>(d)] ==
+                               unitsPerTable_,
+                           "disk ", d, " allocated ",
+                           nextFree[static_cast<size_t>(d)], " of ",
+                           unitsPerTable_, " table units");
+        }
+
+        // The trailing partial table keeps the longest prefix of stripes
+        // whose every unit falls below the remainder; allocation is
+        // deterministic, so the full-table offsets are reusable.
+        const int remainder = unitsPerDisk_ % unitsPerTable_;
+        partialStripes_ = 0;
+        for (int idx = 0; idx < stripesPerTable_; ++idx) {
+            bool fits = true;
+            for (int pos = 0; pos < G; ++pos) {
+                if (tableUnits_[static_cast<size_t>(idx) * G + pos]
+                        .offset >= remainder) {
+                    fits = false;
+                    break;
+                }
+            }
+            if (!fits)
+                break;
+            ++partialStripes_;
+        }
     }
 
     numStripes_ = fullTables_ * stripesPerTable_ + partialStripes_;
@@ -173,7 +229,7 @@ DeclusteredLayout::invert(int disk, int offset) const
     const std::int64_t table = offsetDiv_.quot(off);
     const std::uint32_t tOff = offsetDiv_.rem(off);
     const InvEntry &e =
-        inverse_[static_cast<size_t>(disk) * unitsPerTable_ + tOff];
+        inverse_[static_cast<size_t>(disk) * invStride_ + tOff];
     if (table == fullTables_ && e.stripeIdx >= partialStripes_)
         return std::nullopt; // beyond the truncated partial table
     return StripeUnit{table * stripesPerTable_ + e.stripeIdx, e.pos};
@@ -182,9 +238,10 @@ DeclusteredLayout::invert(int disk, int offset) const
 std::int64_t
 DeclusteredLayout::mappingTableBytes() const
 {
-    return static_cast<std::int64_t>(tableUnits_.size() *
+    return static_cast<std::int64_t>(tableUnits_.capacity() *
                                      sizeof(PhysicalUnit)) +
-           static_cast<std::int64_t>(inverse_.size() * sizeof(InvEntry));
+           static_cast<std::int64_t>(inverse_.capacity() *
+                                     sizeof(InvEntry));
 }
 
 std::int64_t

@@ -9,9 +9,16 @@
  * design table* repeats this G times, assigning parity to a different
  * tuple element in each duplication so parity is spread evenly
  * (criterion 3). The full table is then tiled down the disks; a trailing
- * partial table keeps every fully-allocatable stripe and leaves the rest
- * of the tail unmapped (real disks are not a multiple of the table size;
- * cf. section 4.3's discussion of table-size limits).
+ * partial table keeps the longest prefix of stripes whose every unit
+ * fits in the tail and leaves the rest of the tail unmapped (real disks
+ * are not a multiple of the table size; cf. section 4.3's discussion of
+ * table-size limits).
+ *
+ * When the disk holds less than one full table, as with a large complete
+ * design, only that addressable prefix is built: the forward table holds
+ * just the prefix's stripes and the inverse table one entry per disk
+ * offset, so the mapping costs at most 2 x 8 B x C x unitsPerDisk however
+ * large b is.
  */
 #pragma once
 
@@ -33,8 +40,8 @@ namespace declust {
  * rotations and criterion 3 collapses; Staggered cycles through all b
  * tuples repeatedly, advancing the parity element by the tuple index, so
  * any prefix covers both tuples and parity rotations near-uniformly.
- * Auto picks DupMajor when at least one full table fits, Staggered
- * otherwise.
+ * Auto picks DupMajor when the disk is an exact multiple of the full
+ * table (no partial table), Staggered otherwise.
  */
 enum class TableOrder { Auto, DupMajor, Staggered };
 
@@ -69,6 +76,10 @@ class DeclusteredLayout : public Layout
 
     std::int64_t unmappedUnits() const override;
 
+    /** Bytes allocated to the forward and inverse tables: both whole
+     * tables, or, on a disk smaller than one table, room for the
+     * addressable prefix (at most C x unitsPerDisk units) and one
+     * inverse entry per disk offset. */
     std::int64_t mappingTableBytes() const override;
 
     /** The underlying block design. */
@@ -92,12 +103,16 @@ class DeclusteredLayout : public Layout
     FastDiv offsetDiv_;    // divide disk offset by unitsPerTable_
     std::int64_t fullTables_;
     int partialStripes_;   // usable stripes in the trailing partial table
+    int invStride_;        // inverse_ entries per disk
     std::int64_t numStripes_;
 
-    /** tableUnits_[idx * G + pos] = location within one full table. */
+    /** tableUnits_[idx * G + pos] = location within one full table; only
+     * the first partialStripes_ stripes when fullTables_ == 0. */
     std::vector<PhysicalUnit> tableUnits_;
 
-    /** inverse_[disk * unitsPerTable_ + off] = (stripe idx, pos). */
+    /** inverse_[disk * invStride_ + off] = (stripe idx, pos); invStride_
+     * is unitsPerTable_, or unitsPerDisk_ when fullTables_ == 0. Offsets
+     * no built stripe claims hold stripe idx stripesPerTable_. */
     struct InvEntry
     {
         int stripeIdx;

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/array_sim.hpp"
 #include "designs/catalog.hpp"
 #include "designs/generators.hpp"
 #include "designs/select.hpp"
@@ -420,6 +421,125 @@ TEST(LayoutOrdering, AutoPicksByTableFit)
     EXPECT_EQ(fits.tableOrder(), TableOrder::DupMajor);
     DeclusteredLayout cramped(makeCompleteDesign(6, 3), 20);
     EXPECT_EQ(cramped.tableOrder(), TableOrder::Staggered);
+    // One whole table plus a partial one: the partial needs Staggered.
+    DeclusteredLayout ragged(makeCompleteDesign(6, 3), 45);
+    EXPECT_EQ(ragged.tableOrder(), TableOrder::Staggered);
+}
+
+TEST(SubTableLayout, BuildsOnlyTheAddressablePrefix)
+{
+    // The paper's G = 18 point at recon_sweep's disk: C(21,18) has
+    // b = 1330, so one full table is r * G = 20,520 units per disk, and
+    // a 5,694-unit disk addresses only its first stripes.
+    const int C = 21;
+    const int unitsPerDisk = 5694;
+    DeclusteredLayout lay(appendixDesign(18), unitsPerDisk);
+    ASSERT_LT(unitsPerDisk, lay.unitsPerDiskPerFullTable());
+    EXPECT_LE(lay.mappingTableBytes(),
+              std::int64_t{2} * 8 * C * unitsPerDisk);
+    EXPECT_EQ(lay.numStripes(), 6454);
+}
+
+/**
+ * A disk smaller than one table builds only the table's prefix, so it
+ * must map exactly as the same design over a disk holding whole tables.
+ * Each small disk still covers one pass through the tuples, so neither
+ * layout shuffles the tuple order.
+ */
+TEST(SubTableLayout, PrefixMatchesWholeTableLayout)
+{
+    struct Case
+    {
+        BlockDesign design;
+        std::vector<int> smallDisks;
+    };
+    const std::vector<Case> cases = {
+        {appendixDesign(18), {1140, 5694, 20519}},
+        {appendixDesign(10), {20, 97, 99}},
+        {makeCompleteDesign(8, 4), {35, 97, 139}},
+        {makeCompleteDesign(7, 3), {15, 31, 44}},
+    };
+    for (const Case &c : cases) {
+        const int table = c.design.r() * c.design.k();
+        for (TableOrder order :
+             {TableOrder::Staggered, TableOrder::DupMajor}) {
+            for (int slots = 1; slots <= 2; ++slots) {
+                const DeclusteredLayout large(c.design, 2 * table + 7,
+                                              order, slots);
+                for (int units : c.smallDisks) {
+                    ASSERT_LT(units, table);
+                    ASSERT_GE(static_cast<std::int64_t>(units) *
+                                  c.design.v() / c.design.k(),
+                              c.design.b());
+                    const DeclusteredLayout small(c.design, units, order,
+                                                  slots);
+                    SCOPED_TRACE(c.design.name() + " units=" +
+                                 std::to_string(units) + " slots=" +
+                                 std::to_string(slots));
+                    ASSERT_GT(small.numStripes(), 0);
+                    for (std::int64_t s = 0; s < small.numStripes(); ++s)
+                        for (int pos = 0; pos < small.stripeWidth(); ++pos)
+                            ASSERT_EQ(small.place(s, pos),
+                                      large.place(s, pos));
+                    for (int disk = 0; disk < small.numDisks(); ++disk) {
+                        for (int off = 0; off < units; ++off) {
+                            const auto got = small.invert(disk, off);
+                            const auto want = large.invert(disk, off);
+                            ASSERT_TRUE(want.has_value());
+                            if (got) {
+                                ASSERT_EQ(got->stripe, want->stripe);
+                                ASSERT_EQ(got->pos, want->pos);
+                            } else {
+                                ASSERT_GE(want->stripe, small.numStripes());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Layout misuse through a SimConfig is the caller's error. */
+TEST(MakeLayout, RejectsBadConfig)
+{
+    auto rejects = [](auto edit) {
+        SimConfig cfg;
+        cfg.stripeUnits = 5;
+        cfg.geometry = DiskGeometry::ibm0661Scaled(1);
+        edit(cfg);
+        EXPECT_THROW(ArraySimulation sim(cfg), ConfigError);
+    };
+    rejects([](SimConfig &c) { c.unitSectors = 0; });
+    rejects([](SimConfig &c) { c.unitSectors = -8; });
+    // Larger than the whole disk (949 cylinders x 48 sectors).
+    rejects([](SimConfig &c) { c.unitSectors = 949 * 48 + 1; });
+    // A disk too small for one unit, hence for one parity stripe.
+    rejects([](SimConfig &c) {
+        c.geometry.cylinders = 2;
+        c.unitSectors = 97;
+    });
+    // Sparing needs a (G + 1)-wide design declustered over C > G + 1.
+    rejects([](SimConfig &c) {
+        c.distributedSparing = true;
+        c.stripeUnits = c.numDisks;
+    });
+    rejects([](SimConfig &c) {
+        c.distributedSparing = true;
+        c.stripeUnits = c.numDisks - 1;
+    });
+    rejects([](SimConfig &c) {
+        c.distributedSparing = true;
+        c.numDisks = 22; // no (22, 11) design; selection offers G = 10
+        c.stripeUnits = 10;
+    });
+
+    // The boundary cases still build: one unit per disk, G + 1 = C - 1.
+    DiskGeometry tiny = DiskGeometry::ibm0661Scaled(1);
+    tiny.cylinders = 2;
+    EXPECT_EQ(makeLayout(21, 5, tiny, 96)->unitsPerDisk(), 1);
+    EXPECT_GT(makeLayout(21, 5, tiny, 96)->numStripes(), 0);
+    EXPECT_EQ(makeLayout(21, 19, tiny, 8, true)->stripeWidth(), 19);
 }
 
 TEST(Vulnerability, Raid5LosesEveryStripe)
