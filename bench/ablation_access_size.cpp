@@ -14,8 +14,8 @@
 
 #include "bench_common.hpp"
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -74,4 +74,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "ablation_access_size", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -22,8 +22,8 @@
 #include "layout/vulnerability.hpp"
 #include "model/reliability.hpp"
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -89,4 +89,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "ablation_double_failure", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

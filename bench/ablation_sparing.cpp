@@ -16,8 +16,8 @@
 
 #include "bench_common.hpp"
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -85,4 +85,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "ablation_sparing", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -202,10 +202,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const declust::ConfigError &e) {
-        std::cerr << "configuration error: " << e.what() << "\n";
-        return 1;
-    }
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -84,8 +84,7 @@ addCommonOptions(Options &opts)
     opts.add("data-plane", "off",
              "erasure-code data plane: off (value-level parity math "
              "only) | verify (real SIMD byte XOR cross-checked at every "
-             "combine; no timing change) | on (verify + XOR cost from "
-             "measured kernel throughput)");
+             "combine; no timing change)");
 }
 
 /**
@@ -102,11 +101,29 @@ applyDataPlaneOption(const Options &opts)
     ec::DataPlaneMode mode{};
     if (!ec::dataPlaneModeFromName(plane, &mode)) {
         std::cerr << "unknown --data-plane '" << plane
-                  << "' (expected: off | verify | on)\n";
+                  << "' (expected: off | verify)\n";
         return false;
     }
     ec::selectDataPlane(mode);
     return true;
+}
+
+/**
+ * Run a driver's body, turning a ConfigError into one
+ * "configuration error: ..." line on stderr and exit status 1, the way
+ * examples/simulate does: a bad option value is misuse, never an
+ * abort. A driver's main() is `return bench::runDriver(run, argc,
+ * argv);`.
+ */
+inline int
+runDriver(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const ConfigError &e) {
+        std::cerr << "configuration error: " << e.what() << "\n";
+        return 1;
+    }
 }
 
 /**

@@ -1,13 +1,13 @@
 /**
  * @file
- * Calibration bench for the erasure-code kernels: measured GB/s per
- * (kernel, tier, buffer size), printed as a table and emitted as the
- * BENCH_7 JSON record — the record tools/calibrate_xor.py turns into
- * src/ec/calibrated_costs.hpp, the constants `--data-plane on` charges
- * simulated XOR time from. Re-run on new hardware to re-calibrate:
+ * Throughput bench for the erasure-code kernels: measured GB/s per
+ * (kernel, tier, buffer size), printed as a table and emitted as a JSON
+ * record with `--json` (BENCH_7.json is one such record, kept as
+ * history). The simulator charges XOR time only from the
+ * `--xor-ms`/`xorOverheadMsPerUnit` constant; nothing reads this record
+ * back into the model.
  *
- *   build/bench/bench_ec_kernels --json BENCH_7.json
- *   tools/calibrate_xor.py BENCH_7.json src/ec/calibrated_costs.hpp
+ *   build/bench/bench_ec_kernels --json kernels.json
  *
  * Each cell streams a pair of pooled 64-byte-aligned buffers through
  * the kernel until the target measurement time elapses (self-timed;

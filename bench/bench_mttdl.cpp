@@ -288,13 +288,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Robustness knobs (scrub interval, fail-slow target) are
-    // range-checked by the simulation itself; a ConfigError thrown
-    // inside a window must exit cleanly, not terminate.
-    try {
-        return run(argc, argv);
-    } catch (const declust::ConfigError &e) {
-        std::cerr << "configuration error: " << e.what() << "\n";
-        return 1;
-    }
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -146,14 +146,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // A robustness spec can be well-formed yet name a state the model
-    // rejects (a disk id past C, a sub-tick deadline); those surface
-    // as ConfigError from inside the trial and must exit cleanly, not
-    // terminate.
-    try {
-        return run(argc, argv);
-    } catch (const declust::ConfigError &e) {
-        std::cerr << "configuration error: " << e.what() << "\n";
-        return 1;
-    }
+    return declust::bench::runDriver(run, argc, argv);
 }

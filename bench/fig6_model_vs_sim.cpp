@@ -16,8 +16,8 @@
 #include "bench_common.hpp"
 #include "model/queueing.hpp"
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -89,4 +89,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "fig6_model_vs_sim", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -30,8 +30,8 @@ struct Fig6Shard
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -142,4 +142,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "fig6_response_time", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

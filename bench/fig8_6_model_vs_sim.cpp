@@ -34,8 +34,8 @@ struct ModelSimShard
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -147,4 +147,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "fig8_6_model_vs_sim", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -24,8 +24,8 @@ struct ReconShard
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -127,4 +127,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "fig8_recon_parallel", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

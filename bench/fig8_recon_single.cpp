@@ -26,8 +26,8 @@ struct ReconShard
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -145,4 +145,10 @@ main(int argc, char **argv)
     emit(opts, table);
     writeJsonRecord(opts, "fig8_recon_single", outcome);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -32,8 +32,8 @@ struct CycleShard
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace declust;
     using namespace declust::bench;
@@ -144,4 +144,10 @@ main(int argc, char **argv)
     }
     writeJsonRecord(opts, "table8_1_cycle_times", combined);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return declust::bench::runDriver(run, argc, argv);
 }

@@ -8,9 +8,7 @@
 #include "disk/disk.hpp"
 #include "disk/fault_model.hpp"
 #include "disk/scheduler.hpp"
-#include "ec/cost_model.hpp"
 #include "ec/data_plane.hpp"
-#include "ec/kernels.hpp"
 #include "layout/layout.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/serial_resource.hpp"
@@ -1532,11 +1530,6 @@ ArrayController::ArrayController(EventQueue &eq,
                    "layout maps ", layout_->unitsPerDisk(),
                    " units/disk but the geometry only holds ",
                    unitCapacity);
-    // The XOR charge basis is fixed here, per unit, so afterXor charges
-    // are additive across batches (see xorChargeTicks). Mode On derives
-    // the per-unit cost from the measured throughput of the dispatched
-    // kernel tier, *replacing* the hand-picked constant.
-    double xorMsPerUnit = params_.xorOverheadMsPerUnit;
     if (params_.dataPlane != ec::DataPlaneMode::Off) {
         const std::size_t unitBytes =
             static_cast<std::size_t>(params_.unitSectors) *
@@ -1546,18 +1539,10 @@ ArrayController::ArrayController(EventQueue &eq,
                        kMaxCheckedStripeWidth, " units wide");
         plane_ = std::make_unique<ec::DataPlane>(params_.dataPlane,
                                                  unitBytes);
-        if (params_.dataPlane == ec::DataPlaneMode::On) {
-            const ec::Tier tier = plane_->tier();
-            if (!ec::xorCostCalibrated(tier))
-                DECLUST_FATAL(
-                    "--data-plane on needs a calibrated XOR throughput "
-                    "for kernel tier ", ec::tierName(tier),
-                    "; run bench_ec_kernels --json and "
-                    "tools/calibrate_xor.py (see src/ec/cost_model.hpp)");
-            xorMsPerUnit = ec::xorMsPerUnit(unitBytes, tier);
-        }
     }
-    xorTicksPerUnit_ = msToTicks(xorMsPerUnit);
+    // The XOR charge basis is fixed here, per unit, so afterXor charges
+    // are additive across batches (see xorChargeTicks).
+    xorTicksPerUnit_ = msToTicks(params_.xorOverheadMsPerUnit);
     if (params_.controllerOverheadMs > 0 || xorTicksPerUnit_ > 0) {
         cpu_ = std::make_unique<SerialResource>(eq_);
     }

@@ -93,9 +93,6 @@ struct ArrayParams
      * every parity combine additionally XORs real stripe-unit buffers
      * through the dispatched SIMD kernels and cross-checks the result
      * against the 64-bit shadow value — no effect on simulated time.
-     * On: Verify, plus the XOR cost charged to the controller CPU is
-     * derived from measured kernel throughput (ec/cost_model.hpp),
-     * *replacing* xorOverheadMsPerUnit.
      */
     ec::DataPlaneMode dataPlane = ec::DataPlaneMode::Off;
     /**

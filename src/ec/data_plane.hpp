@@ -22,9 +22,7 @@
  * the pre-data-plane goldens; Verify — every combine site XORs real
  * pooled buffers through the dispatched SIMD kernels and cross-checks
  * against the shadow value (zero effect on simulated time, so goldens
- * still match); On — Verify plus simulated XOR cost charged from the
- * measured kernel throughput (cost_model.hpp) instead of the
- * hand-picked xorOverheadMsPerUnit.
+ * still match).
  */
 #pragma once
 
@@ -43,10 +41,9 @@ enum class DataPlaneMode : int
 {
     Off = 0,    ///< value-level shadow math only (default)
     Verify = 1, ///< real SIMD byte math cross-checked, no timing change
-    On = 2,     ///< Verify + calibrated XOR cost charged to the CPU
 };
 
-/** CLI/display name: off | verify | on. */
+/** CLI/display name: off | verify. */
 const char *dataPlaneModeName(DataPlaneMode mode);
 
 /** Parse a mode name; false on an unknown spelling. */

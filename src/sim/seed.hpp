@@ -7,7 +7,7 @@
  * seeds ad hoc (xor here, shift-and-add there) makes collisions — two
  * "independent" streams that are actually correlated — silent and
  * almost impossible to audit, so all derivation lives in this header
- * and a lint rule (seed-derivation) bans seed arithmetic anywhere
+ * and the analyzer rule seed-isolation bans seed arithmetic anywhere
  * else in src/.
  *
  * Three derivation flavours, in decreasing order of mixing strength:

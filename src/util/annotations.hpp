@@ -2,11 +2,10 @@
  * @file
  * Source annotations consumed by the AST analyzer (tools/analyze/).
  *
- * The repo enforces its invariants in three layers (see DESIGN.md
- * "Static analysis"): a regex lint (tools/lint.py) for purely textual
- * rules, the AST analyzer for semantic rules, and runtime
- * DECLUST_VALIDATE audits for what only execution can see. The two
- * macros here are the analyzer's source-level interface:
+ * The repo enforces its invariants in two layers (see DESIGN.md
+ * "Static analysis"): the analyzer for token and semantic rules, and
+ * runtime DECLUST_VALIDATE audits for what only execution can see. The
+ * two macros here are the analyzer's source-level interface:
  *
  *   DECLUST_HOT_PATH
  *     Marks a function as a hot-path ROOT. The analyzer computes the
@@ -14,17 +13,13 @@
  *     calls plus named continuation handoffs (`&stepFn`, function
  *     pointers stored into resume slots) — and rejects heap
  *     allocation, container growth, and std::function conversions
- *     anywhere in that closure. Under clang the macro also expands to
- *     a real [[clang::annotate]] attribute so libclang-based tooling
- *     sees the same roots; under other compilers it expands to
- *     nothing and only the analyzer's own parser reads it.
+ *     anywhere in that closure. The macro expands to nothing; only
+ *     the analyzer's parser reads it.
  *
  *   DECLUST_ANALYZE_SUPPRESS("rule-a,rule-b: reason")
- *     Statement-position suppression, replacing the old
- *     `// LINT: allow(...)` comments for analyzer rules. Suppresses
- *     the listed rules on the macro call's own lines and on every
- *     line of the statement that follows it, so it reads like the
- *     construct it excuses:
+ *     Statement-position suppression. Suppresses the listed rules on
+ *     the macro call's own lines and on every line of the statement
+ *     that follows it, so it reads like the construct it excuses:
  *
  *         DECLUST_ANALYZE_SUPPRESS("hot-path-growth: slab warm-up");
  *         slabs_.push_back(makeSlab());
@@ -36,11 +31,8 @@
  */
 #pragma once
 
-#if defined(__clang__)
-#define DECLUST_HOT_PATH [[clang::annotate("declust::hot_path")]]
-#else
+/** Expands to nothing; parsed by tools/analyze/ as a hot-path root. */
 #define DECLUST_HOT_PATH
-#endif
 
 /** Expands to nothing; parsed by tools/analyze/ for rule suppression. */
 #define DECLUST_ANALYZE_SUPPRESS(rules_and_reason) static_assert(true, "")

@@ -2,29 +2,23 @@
 """AST-grounded invariant analyzer — command-line driver.
 
 Usage:
-    python3 tools/analyze/analyze.py --root . [--backend auto]
+    python3 tools/analyze/analyze.py --root . [--json FILE]
     python3 tools/analyze/analyze.py --root . --self-test
 
-Scans src/ (or tools/analyze/fixtures/ with --self-test) with one of
-two backends producing the same IR:
-
-    builtin    dependency-free heuristic C++ parser (tools/analyze/
-               parser.py); deterministic, always available; the one CI
-               gates on.
-    libclang   clang.cindex over compile_commands.json; sees template
-               instantiations and real types. GATED: used only when
-               the python bindings and libclang are importable —
-               `--backend auto` (the default) silently falls back to
-               builtin otherwise, `--backend libclang` errors out.
+Scans src/ (or tools/analyze/fixtures/ with --self-test) with the
+dependency-free heuristic C++ parser (tools/analyze/parser.py) and runs
+every check in checks.py over the IR it builds: token rules over the
+identifier stream, includes and pragmas, and semantic rules over the
+statement trees, call graph and include graph.
 
 Suppression is annotation-based (src/util/annotations.hpp):
 
     DECLUST_ANALYZE_SUPPRESS("rule-a,rule-b: reason");
     ... the suppressed construct on the same or next code line ...
 
-Self-test mode mirrors tools/lint.py: fixture files declare expected
-findings with `// EXPECT-ANALYZE: rule-id` comments; the run fails
-unless the (file, rule) finding set matches exactly AND every rule in
+Self-test mode: fixture files declare expected findings with
+`// EXPECT-ANALYZE: rule-id` comments; the run fails unless the
+(file, rule) finding set matches exactly AND every rule in
 checks.ALL_RULES fires in at least one fixture.
 
 Exit status: 0 clean, 1 findings (or self-test mismatch), 2 usage error.
@@ -39,11 +33,9 @@ import sys
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
-    from analyze import checks, parser as builtin_parser  # type: ignore
-    from analyze import clang_backend
+    from analyze import checks, parser  # type: ignore
 else:
-    from . import checks, clang_backend
-    from . import parser as builtin_parser
+    from . import checks, parser
 
 EXPECT_RE = re.compile(r"//\s*EXPECT-ANALYZE:\s*([A-Za-z0-9-]+)")
 SOURCE_EXTS = (".cpp", ".hpp", ".h", ".cc")
@@ -61,23 +53,13 @@ def collect_files(root, subdir):
     return sorted(hits, key=lambda pair: pair[1])
 
 
-def parse_all(pairs, backend, compile_commands):
-    """Parse every (full, rel) pair; returns (FileIRs, backend_used)."""
-    if backend in ("auto", "libclang"):
-        firs, err = clang_backend.try_parse_all(pairs, compile_commands)
-        if firs is not None:
-            return firs, "libclang"
-        if backend == "libclang":
-            raise RuntimeError(
-                "libclang backend unavailable: %s (install the "
-                "python3-clang bindings and libclang, or use "
-                "--backend builtin)" % err)
+def parse_all(pairs):
+    """Parse every (full, rel) pair into a FileIR."""
     firs = []
     for full, rel in pairs:
         with open(full, encoding="utf-8") as f:
-            text = f.read()
-        firs.append(builtin_parser.parse_file(rel, text))
-    return firs, "builtin"
+            firs.append(parser.parse_file(rel, f.read()))
+    return firs
 
 
 def apply_suppressions(findings, firs):
@@ -94,21 +76,20 @@ def apply_suppressions(findings, firs):
     return kept, suppressed
 
 
-def run(root, subdir, backend, compile_commands):
+def run(root, subdir):
     pairs = collect_files(root, subdir)
     if not pairs:
         raise FileNotFoundError("no sources under %s" % subdir)
-    firs, used = parse_all(pairs, backend, compile_commands)
+    firs = parse_all(pairs)
     findings = checks.run_checks(firs)
     kept, suppressed = apply_suppressions(findings, firs)
     kept.sort(key=lambda f: (f.rel, f.line, f.rule))
-    return pairs, kept, suppressed, used
+    return pairs, kept, suppressed
 
 
-def self_test(root, backend, compile_commands):
+def self_test(root):
     subdir = os.path.join("tools", "analyze", "fixtures")
-    pairs, kept, _suppressed, used = run(root, subdir, backend,
-                                         compile_commands)
+    pairs, kept, _suppressed = run(root, subdir)
     expected = set()
     for full, rel in pairs:
         with open(full, encoding="utf-8") as f:
@@ -131,22 +112,16 @@ def self_test(root, backend, compile_commands):
                   file=sys.stderr)
             ok = False
     if ok:
-        print("analyze self-test [%s backend]: all %d rules fire and "
-              "match (%d fixtures)"
-              % (used, len(checks.ALL_RULES), len(pairs)))
+        print("analyze self-test: all %d rules fire and match (%d "
+              "fixtures)" % (len(checks.ALL_RULES), len(pairs)))
         return 0
     return 1
 
 
 def main(argv):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
-    ap.add_argument("--backend", default="auto",
-                    choices=("auto", "builtin", "libclang"))
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json for the libclang "
-                         "backend (default: first build*/ that has one)")
     ap.add_argument("--self-test", action="store_true",
                     help="scan tools/analyze/fixtures/ and compare "
                          "against EXPECT-ANALYZE annotations")
@@ -161,20 +136,11 @@ def main(argv):
         return 0
 
     root = os.path.abspath(args.root)
-    cc = args.compile_commands
-    if cc is None:
-        for cand in sorted(os.listdir(root)):
-            path = os.path.join(root, cand, "compile_commands.json")
-            if cand.startswith("build") and os.path.exists(path):
-                cc = path
-                break
-
     try:
         if args.self_test:
-            return self_test(root, args.backend, cc)
-        pairs, kept, suppressed, used = run(root, "src", args.backend,
-                                            cc)
-    except (RuntimeError, FileNotFoundError) as e:
+            return self_test(root)
+        pairs, kept, suppressed = run(root, "src")
+    except FileNotFoundError as e:
         print("analyze: %s" % e, file=sys.stderr)
         return 2
 
@@ -183,21 +149,18 @@ def main(argv):
     if args.json:
         with open(args.json, "w", encoding="utf-8") as out:
             json.dump({
-                "backend": used,
                 "files_scanned": len(pairs),
                 "findings": [f._asdict() for f in kept],
                 "suppressed": [f._asdict() for f in suppressed],
             }, out, indent=1, sort_keys=True)
             out.write("\n")
     if kept:
-        print("analyze [%s backend]: %d finding(s) in %d file(s) "
-              "scanned (%d suppressed)"
-              % (used, len(kept), len(pairs), len(suppressed)),
+        print("analyze: %d finding(s) in %d file(s) scanned (%d "
+              "suppressed)" % (len(kept), len(pairs), len(suppressed)),
               file=sys.stderr)
         return 1
-    print("analyze [%s backend]: clean (%d files scanned, %d "
-          "suppressed finding(s))" % (used, len(pairs),
-                                      len(suppressed)))
+    print("analyze: clean (%d files scanned, %d suppressed finding(s))"
+          % (len(pairs), len(suppressed)))
     return 0
 
 

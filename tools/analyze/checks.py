@@ -1,11 +1,27 @@
-"""The semantic checks, run over the ir.py IR.
+"""The checks, run over the ir.py IR.
 
 Each check is a function ``check_*(files) -> [Finding]`` where
 ``files`` is the full list of FileIRs (global context: call graphs and
 include graphs span files).  Suppression filtering happens in the
 driver, so checks report everything they see.
 
-Rule ids (one firing fixture each under tools/analyze/fixtures/):
+Rule ids (one firing fixture each under tools/analyze/fixtures/).
+Token rules, whole identifiers, includes and pragmas:
+
+  determinism-unordered     std::unordered_map/set/multimap/multiset
+                            outside src/harness (iteration order is
+                            address-dependent)
+  determinism-std-random    std::<random> engines/distributions outside
+                            src/harness (sequences are implementation-
+                            defined; draw from sim/rng.hpp)
+  event-core-priority-queue std::priority_queue or a raw heap algorithm
+                            outside src/sim (the (when, seq) dispatch
+                            contract lives in EventQueue)
+  header-pragma-once        a header without #pragma once
+  header-using-namespace    `using namespace` in a header
+  include-relative          #include "../..." (use root-relative paths)
+
+Semantic rules:
 
   pooled-use-after-release  use of a SlabPool/BufferPool/IoOpPool/
                             DeferredIssue handle on a path after its
@@ -18,10 +34,10 @@ Rule ids (one firing fixture each under tools/analyze/fixtures/):
                             hot root
   hot-path-function         std::function conversion/copy reachable
                             from a hot root
-  determinism-taint         wall-clock / random_device source, an
-                            alias of one, or unordered-container
-                            iteration feeding stats/scheduling sinks,
-                            outside src/harness
+  determinism-taint         wall-clock or unseeded random source
+                            (std::chrono, clocks, time(), clock(),
+                            rand(), random_device, ...) or an alias of
+                            one, outside src/harness
   lock-discipline           a StripeLockTable acquire whose
                             continuation closure contains no release,
                             or a straight-line double release
@@ -49,6 +65,12 @@ from .ir import iter_stmts
 Finding = namedtuple("Finding", "rel line rule message")
 
 ALL_RULES = (
+    "determinism-unordered",
+    "determinism-std-random",
+    "event-core-priority-queue",
+    "header-pragma-once",
+    "header-using-namespace",
+    "include-relative",
     "pooled-use-after-release",
     "pooled-escape",
     "hot-path-alloc",
@@ -411,10 +433,9 @@ def check_hot_path(files):
 _CLOCK_NAMES = {"system_clock", "steady_clock", "high_resolution_clock"}
 _SOURCE_NAMES = {"random_device", "gettimeofday", "clock_gettime",
                  "__rdtsc", "_rdtsc", "timespec_get"}
-_UNORDERED = re.compile(r"^unordered_(?:map|set|multimap|multiset)$")
-_SINK_CALLS = {"add", "merge", "schedule", "scheduleAt", "record",
-               "accumulate", "observe", "combine", "push_back",
-               "insert", "emplace", "emplace_back"}
+# time(nullptr), time(NULL), time(0), time(): the argument tells the C
+# library wall clock apart from a function that merely is named time.
+_TIME_ARGS = {"nullptr", "NULL", "0", ")"}
 
 
 def _alias_taint(fir):
@@ -427,6 +448,15 @@ def _alias_taint(fir):
     return tainted
 
 
+def _source_call(name, prev, nxt, after):
+    """A free call of a C library clock or rand; member calls
+    (`x.rand()`, `p->clock()`) are someone's own method."""
+    if nxt != "(" or prev in (".", "->"):
+        return False
+    return name in ("rand", "srand", "clock") or \
+        (name == "time" and after in _TIME_ARGS)
+
+
 def check_determinism(files):
     findings = []
     for fir in files:
@@ -434,19 +464,19 @@ def check_determinism(files):
             continue
         tainted = _alias_taint(fir)
         alias_lines = {fir.defined_types.get(a) for a in tainted}
-        for name, line, prev, nxt in fir.identifiers:
-            if name in _CLOCK_NAMES or name in _SOURCE_NAMES:
+        for name, line, prev, nxt, after in fir.identifiers:
+            if name in _CLOCK_NAMES or name in _SOURCE_NAMES or \
+                    (name == "chrono" and prev == "::"):
                 findings.append(Finding(
                     fir.rel, line, "determinism-taint",
                     "nondeterministic source '%s' in deterministic "
                     "simulation code (results must replay bit-exact; "
                     "draw from sim/rng.hpp)" % name))
-            elif name in ("rand", "srand") and nxt == "(" and \
-                    prev not in (".", "->", "::"):
+            elif _source_call(name, prev, nxt, after):
                 findings.append(Finding(
                     fir.rel, line, "determinism-taint",
-                    "unseeded %s() in deterministic simulation code"
-                    % name))
+                    "wall-clock or unseeded %s() in deterministic "
+                    "simulation code" % name))
             elif name in tainted and line not in alias_lines and \
                     prev not in (".", "->"):
                 findings.append(Finding(
@@ -454,52 +484,6 @@ def check_determinism(files):
                     "use of '%s', an alias of a nondeterministic "
                     "clock/source (aliasing does not launder "
                     "nondeterminism)" % name))
-
-        # Unordered-container iteration feeding stats/scheduling sinks.
-        for fn in fir.functions:
-            if not fn.has_body:
-                continue
-            uvars = {name for types, name in fn.params
-                     if name and any(_UNORDERED.match(t) for t in types)}
-            for stmt in iter_stmts(fn.body):
-                if stmt.kind == "simple":
-                    names = [t.text for t in stmt.tokens]
-                    if any(_UNORDERED.match(x) for x in names):
-                        # Declaration of a local unordered container:
-                        # the declared name is the assignment lhs, or
-                        # the trailing identifier of the declaration.
-                        var = _assignment_lhs(stmt)
-                        if not var:
-                            ids = [t.text for t in stmt.tokens
-                                   if t.kind == "id"]
-                            var = ids[-1] if ids else None
-                        if var:
-                            uvars.add(var)
-                if stmt.kind != "loop" or not stmt.tokens:
-                    continue
-                hdr = [t.text for t in stmt.tokens]
-                if ":" not in hdr:
-                    continue
-                rhs = hdr[hdr.index(":") + 1:]
-                direct = any(_UNORDERED.match(x) for x in rhs)
-                via_var = bool(uvars & set(rhs))
-                if not (direct or via_var):
-                    continue
-                sink = None
-                for inner in iter_stmts(stmt.body):
-                    for c in stmt_calls(inner):
-                        if c.name in _SINK_CALLS:
-                            sink = c
-                            break
-                    if sink:
-                        break
-                if sink:
-                    findings.append(Finding(
-                        fir.rel, stmt.line, "determinism-taint",
-                        "iteration over an unordered container feeds "
-                        "'%s()' — iteration order is address-dependent "
-                        "and would leak nondeterminism into merged "
-                        "stats / event scheduling" % sink.name))
     return findings
 
 
@@ -709,7 +693,7 @@ def check_ec_isolation(files):
     for fir in files:
         inside_ec = fir.rel.startswith("src/ec/")
         if not inside_ec:
-            for name, line, _prev, _nxt in fir.identifiers:
+            for name, line, _prev, _nxt, _after in fir.identifiers:
                 if _INTRIN_ID.match(name):
                     findings.append(Finding(
                         fir.rel, line, "ec-isolation",
@@ -848,7 +832,7 @@ def check_transitive_include(files):
         if not indirect_only:
             continue
         reported = set()
-        for name, line, prev, _nxt in fir.identifiers:
+        for name, line, prev, _nxt, _after in fir.identifiers:
             if prev in (".", "->", "class", "struct", "enum", "union"):
                 continue
             home = defs.get(name)
@@ -868,7 +852,74 @@ def check_transitive_include(files):
     return findings
 
 
+# -- check 8: token rules ---------------------------------------------
+#
+# Whole-token bans. Comments never reach the identifier stream and
+# literals are 'str' tokens, so prose cannot fire them; a directive body
+# is not an identifier, so `#include <random>` is not a use of an engine.
+
+_UNORDERED = re.compile(r"^unordered_(?:map|set|multimap|multiset)$")
+# Fault injection and the MTTDL campaign sample hazards and error maps;
+# <random> sequences are implementation-defined, so a campaign seeded
+# on one platform would not replay on another.
+_STD_RANDOM = re.compile(
+    r"^(?:mt19937(?:_64)?|minstd_rand0?|ranlux(?:24|48)(?:_base)?|"
+    r"knuth_b|default_random_engine|subtract_with_carry_engine|"
+    r"mersenne_twister_engine|linear_congruential_engine|"
+    r"(?:uniform_int|uniform_real|bernoulli|binomial|geometric|"
+    r"negative_binomial|poisson|exponential|gamma|weibull|"
+    r"extreme_value|normal|lognormal|chi_squared|cauchy|fisher_f|"
+    r"student_t|discrete|piecewise_constant|piecewise_linear)"
+    r"_distribution)$")
+_HEAP_NAMES = {"priority_queue", "make_heap", "push_heap", "pop_heap",
+               "sort_heap"}
+
+
+def check_tokens(files):
+    findings = []
+    for fir in files:
+        deterministic = not fir.rel.startswith("src/harness/")
+        outside_event_core = not fir.rel.startswith("src/sim/")
+        for name, line, _prev, nxt, _after in fir.identifiers:
+            if deterministic and _UNORDERED.match(name):
+                findings.append(Finding(
+                    fir.rel, line, "determinism-unordered",
+                    "unordered container '%s' in simulation code "
+                    "(iteration order is address-dependent; use a "
+                    "sorted or indexed container)" % name))
+            elif deterministic and _STD_RANDOM.match(name):
+                findings.append(Finding(
+                    fir.rel, line, "determinism-std-random",
+                    "std::<random> '%s' in simulation code (sequences "
+                    "are implementation-defined and differ across "
+                    "platforms; draw from sim/rng.hpp's seeded Rng)"
+                    % name))
+            elif outside_event_core and name in _HEAP_NAMES:
+                findings.append(Finding(
+                    fir.rel, line, "event-core-priority-queue",
+                    "ad-hoc priority queue '%s' outside src/sim/ (the "
+                    "(when, seq) dispatch contract lives in EventQueue; "
+                    "schedule through it instead of keeping a second "
+                    "pending set)" % name))
+            elif fir.is_header and name == "using" and nxt == "namespace":
+                findings.append(Finding(
+                    fir.rel, line, "header-using-namespace",
+                    "`using namespace` in a header leaks into every "
+                    "includer"))
+        for line, text, angled in fir.includes:
+            if not angled and text.startswith(".."):
+                findings.append(Finding(
+                    fir.rel, line, "include-relative",
+                    'parent-relative #include "%s" (use a root-relative '
+                    'path, e.g. "sim/time.hpp")' % text))
+        if fir.is_header and "once" not in fir.pragmas:
+            findings.append(Finding(fir.rel, 1, "header-pragma-once",
+                                    "header without #pragma once"))
+    return findings
+
+
 ALL_CHECKS = (
+    check_tokens,
     check_pooled_lifetime,
     check_hot_path,
     check_determinism,

@@ -1,11 +1,10 @@
-"""Intermediate representation shared by the builtin and libclang
-backends.
+"""Intermediate representation the parser builds and the checks read.
 
-The checks in checks.py consume ONLY this IR, so the two backends stay
-interchangeable: whichever produced the FileIR, a check sees the same
-shape.  The IR is deliberately statement-grained — fine enough for
-path-sensitive lifetime analysis, coarse enough that a heuristic C++
-parser can build it reliably.
+The checks in checks.py consume ONLY this IR.  It is deliberately
+statement-grained — fine enough for path-sensitive lifetime analysis,
+coarse enough that a heuristic C++ parser can build it reliably — and
+it keeps the raw identifier stream, the includes and the pragmas for
+the token rules.
 """
 
 from dataclasses import dataclass, field
@@ -61,17 +60,18 @@ class FileIR:
     aliases: Dict[str, List[str]] = field(default_factory=dict)
     # Object-like and function-like macros #defined here: name -> line.
     defined_macros: Dict[str, int] = field(default_factory=dict)
+    # #pragma directive bodies as written ('once', ...).
+    pragmas: List[str] = field(default_factory=list)
     # All identifier tokens (name, line, prev_token_text,
-    # next_token_text) — the raw reference stream for include-graph and
-    # determinism-source checks.
-    identifiers: List[Tuple[str, int, str, str]] = \
+    # next_token_text, text_of_the_token_after_next) — the raw
+    # reference stream for include-graph, determinism and token checks.
+    identifiers: List[Tuple[str, int, str, str, str]] = \
         field(default_factory=list)
     # Suppressions: line -> set of rule ids (already expanded to cover
-    # the following code line by the backend).
+    # the following code line by the parser).
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     # Lines occupied by DECLUST_ANALYZE_SUPPRESS calls themselves.
     suppress_sites: Set[int] = field(default_factory=set)
-    backend: str = "builtin"
 
 
 def iter_stmts(stmts):

@@ -1,4 +1,4 @@
-"""Builtin backend: heuristic C++ structural/statement parser.
+"""Heuristic C++ structural/statement parser.
 
 Builds the ir.py FileIR from the lexer's token stream.  This is not a
 conforming C++ parser — it is a structural one: it tracks namespace and
@@ -16,7 +16,9 @@ Known, deliberate approximations (shared with the check design):
   - preprocessor conditionals contribute BOTH branches' tokens (the
     analyzer audits all configurations at once),
   - template bodies are parsed like ordinary functions (no
-    instantiation; the libclang backend sees instantiations).
+    instantiation),
+  - preprocessor directive bodies are not tokens: an #include or
+    #define line contributes its include path or macro name only.
 """
 
 from . import lexer
@@ -108,6 +110,8 @@ class _Parser:
                 name = d.text.split("(", 1)[0].split(None, 1)[0]
                 if name:
                     self.fir.defined_macros.setdefault(name, d.line)
+            elif d.kind == "pragma":
+                self.fir.pragmas.append(d.text)
         self._collect_identifiers()
         self._collect_suppressions()
 
@@ -120,7 +124,9 @@ class _Parser:
             if t.kind == "id":
                 prev = toks[idx - 1].text if idx else ""
                 nxt = toks[idx + 1].text if idx + 1 < n else ""
-                self.fir.identifiers.append((t.text, t.line, prev, nxt))
+                after = toks[idx + 2].text if idx + 2 < n else ""
+                self.fir.identifiers.append((t.text, t.line, prev, nxt,
+                                             after))
 
     def _collect_suppressions(self):
         """A suppression covers its own macro call (which may span
