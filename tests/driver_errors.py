@@ -3,7 +3,8 @@
 
 A driver given a value the simulator rejects must print one line on
 stderr and exit 1. It must never end in std::terminate. Each case is one
-command line and the prefix its stderr must start with.
+command line and the prefix its stderr must start with. `ablation` with
+no study or an unknown one is misuse too: one usage line, exit 1.
 
     python3 tests/driver_errors.py --bin-dir build/bench
 """
@@ -14,12 +15,15 @@ import subprocess
 import sys
 
 CASES = (
-    (["ablation_unit_size", "--unit-sectors", "0"],
+    (["ablation", "unit_size", "--unit-sectors", "0"],
      "configuration error: "),
     (["fig8_recon_single", "--stripes", "1"],
      "configuration error: "),
-    (["ablation_cpu_overhead", "--data-plane", "on"],
+    (["ablation", "cpu_overhead", "--data-plane", "on"],
      "unknown --data-plane 'on' (expected: off | verify)"),
+    (["ablation"], "usage: ablation <study> [options], <study> one of: "),
+    (["ablation", "bogus"],
+     "usage: ablation <study> [options], <study> one of: "),
 )
 
 
@@ -36,10 +40,11 @@ def main(argv):
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             timeout=120)
         line = " ".join(cmd)
-        if proc.returncode != 1 or not proc.stderr.startswith(prefix):
-            print("FAIL %s: exit %d, stderr %r (want exit 1, stderr "
-                  "starting %r)" % (line, proc.returncode, proc.stderr,
-                                    prefix), file=sys.stderr)
+        if (proc.returncode != 1 or not proc.stderr.startswith(prefix)
+                or proc.stderr.count("\n") != 1):
+            print("FAIL %s: exit %d, stderr %r (want exit 1, one stderr "
+                  "line starting %r)" % (line, proc.returncode, proc.stderr,
+                                         prefix), file=sys.stderr)
             failed += 1
         else:
             print("ok   %s: %s" % (line, proc.stderr.strip()))

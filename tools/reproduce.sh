@@ -43,6 +43,14 @@ for b in build/bench/*; do
         echo "=== $b ==="
         "$b"
         ;;
+    ablation)
+        # One run per study; its usage line names them.
+        for study in $("$b" 2>&1 | sed -n 's/.*one of: //p'); do
+            echo "=== $b $study ==="
+            # shellcheck disable=SC2086
+            "$b" "$study" $JOBS_ARGS
+        done
+        ;;
     *)
         echo "=== $b ==="
         # shellcheck disable=SC2086
