@@ -22,6 +22,12 @@
  * array/io_op.hpp) stepped through static continuation functions, so
  * steady-state user I/O performs no heap allocation: no lambda-capture
  * std::functions, no waiter queues, no per-request callback boxing.
+ * Two chains carry the parity math (DESIGN.md): the regenerate chain
+ * rebuilds one unit from its stripe's survivors for the five read-side
+ * flows, and the write chain runs every single-unit write as a plan
+ * (read-modify-write, reconstruct-write, mirrored, parity-lost,
+ * degraded fold, write-through) over one fork → combine → fork →
+ * commit sequence. The whole-stripe large write keeps its own step.
  */
 #pragma once
 
