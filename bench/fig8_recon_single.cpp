@@ -3,7 +3,9 @@
  * Figures 8-1 and 8-2: single-threaded reconstruction time and average
  * user response time during reconstruction, for all four reconstruction
  * algorithms, under 50/50 read/write workloads at 105 and 210 user
- * accesses per second, across the alpha sweep.
+ * accesses per second, across the alpha sweep. With --processes 8 the
+ * same sweep is figures 8-3 and 8-4, eight-way parallel reconstruction;
+ * above one process the title and the --json "bench" name are theirs.
  *
  * --stripes / --algorithms narrow the sweep (e.g. to one point for a
  * paper-scale speedup measurement); --shards splits every point across
@@ -32,8 +34,8 @@ run(int argc, char **argv)
     using namespace declust;
     using namespace declust::bench;
 
-    Options opts(
-        "Figures 8-1/8-2: single-thread reconstruction vs alpha");
+    Options opts("Figures 8-1/8-2 (8-3/8-4 with --processes 8): "
+                 "reconstruction vs alpha");
     addCommonOptions(opts);
     addShardOption(opts);
     opts.add("rates", "105,210", "user access rates to sweep");
@@ -61,6 +63,10 @@ run(int argc, char **argv)
         static_cast<std::uint64_t>(opts.getInt("seed"));
     constexpr int kDisks = 21;
 
+    const long processes = opts.getInt("processes");
+    const bool parallel = processes > 1;
+    const std::string benchName =
+        parallel ? "fig8_recon_parallel" : "fig8_recon_single";
     const bool tails = opts.getFlag("tails");
     std::vector<std::string> header{"alpha", "G", "rate/s", "algorithm",
                                     "recon time s", "user resp ms",
@@ -136,14 +142,19 @@ run(int argc, char **argv)
         }
     }
 
-    const SweepOutcome outcome = runShardedTrials(
-        opts, "fig8_recon_single", table, trials, shards);
+    const SweepOutcome outcome =
+        runShardedTrials(opts, benchName, table, trials, shards);
 
-    std::cout << "Figures 8-1 (reconstruction time) and 8-2 (user "
-                 "response during reconstruction), "
-              << opts.getInt("processes") << " process(es)\n";
+    if (parallel)
+        std::cout << "Figures 8-3 (reconstruction time) and 8-4 (user "
+                     "response during reconstruction), "
+                  << processes << " processes\n";
+    else
+        std::cout << "Figures 8-1 (reconstruction time) and 8-2 (user "
+                     "response during reconstruction), "
+                  << processes << " process(es)\n";
     emit(opts, table);
-    writeJsonRecord(opts, "fig8_recon_single", outcome);
+    writeJsonRecord(opts, benchName, outcome);
     return 0;
 }
 

@@ -36,6 +36,8 @@ ROBUST = SMOKE + ["--fail-slow", "0,4,0.3,150,0.0005",
 MTTDL = ["--windows", "40", "--warmup", "0.5", "--stripes", "3,6",
          "--seed", "7", "--campaign", "{out}"]
 CLUSTER = SMOKE + ["--k-list", "0,2"]
+# Figures 8-3/8-4: the figure-8 sweep with eight reconstruction processes.
+PARALLEL = TINY + ["--processes", "8"]
 
 
 def fig8(args, jobs, shards):
@@ -55,6 +57,11 @@ CASES = {
         grid("golden_fig8_tiny.out", lambda j, s: fig8(TINY, j, s),
              [(1, 1)]),
         grid(None, lambda j, s: fig8(TINY, j, s), [(1, 4), (4, 4)]),
+    ],
+    "fig8_parallel": [
+        grid("golden_fig8_parallel_tiny.out",
+             lambda j, s: fig8(PARALLEL, j, s), [(1, 1), (4, 1)]),
+        grid(None, lambda j, s: fig8(PARALLEL, j, s), [(1, 4), (4, 4)]),
     ],
     "fig8_smoke": [
         grid("golden_fig8_smoke.out", lambda j, s: fig8(SMOKE, j, s),
