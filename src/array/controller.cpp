@@ -1433,9 +1433,10 @@ ArrayController::ArrayController(EventQueue &eq,
         const std::size_t unitBytes =
             static_cast<std::size_t>(params_.unitSectors) *
             static_cast<std::size_t>(params_.geometry.sectorBytes);
-        DECLUST_ASSERT(layout_->stripeWidth() <= kMaxCheckedStripeWidth,
-                       "data-plane combine checks support stripes up to ",
-                       kMaxCheckedStripeWidth, " units wide");
+        if (layout_->stripeWidth() > kMaxCheckedStripeWidth)
+            DECLUST_FATAL("data-plane combine checks support stripes up to ",
+                          kMaxCheckedStripeWidth, " units wide, not ",
+                          layout_->stripeWidth());
         plane_ = std::make_unique<ec::DataPlane>(params_.dataPlane,
                                                  unitBytes);
     }

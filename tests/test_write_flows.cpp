@@ -26,6 +26,7 @@
 #include "ec/data_plane.hpp"
 #include "sim/time.hpp"
 #include "stats/perf_counters.hpp"
+#include "util/error.hpp"
 
 namespace declust {
 namespace {
@@ -337,6 +338,17 @@ TEST(WriteFlows, StripesWiderThanTheCombineGather)
     EXPECT_GT(before.delta(PerfCounter::LargeWrites), 0u);
     EXPECT_GT(before.delta(PerfCounter::DegradedWrites), 0u);
 #endif
+}
+
+TEST(WriteFlows, VerifyingPlaneRejectsStripesWiderThanTheGather)
+{
+    // The verifying plane gathers a combine's inputs in a fixed array
+    // of kMaxCheckedStripeWidth values; a wider stripe is a
+    // configuration the simulator refuses, not an internal fault.
+    SimConfig cfg = smallConfig(70);
+    cfg.numDisks = 70;
+    cfg.dataPlane = ec::DataPlaneMode::Verify;
+    EXPECT_THROW(ArraySimulation{cfg}, ConfigError);
 }
 
 } // namespace
