@@ -38,10 +38,14 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     case "$(basename "$b")" in
-    bench_mapping | bench_event_queue)
-        # google-benchmark microbenches: no sweep, no --jobs.
+    fig8_recon_single)
+        # Figures 8-1/8-2, then 8-3/8-4 with eight rebuild processes.
         echo "=== $b ==="
-        "$b"
+        # shellcheck disable=SC2086
+        "$b" $JOBS_ARGS
+        echo "=== $b --processes 8 ==="
+        # shellcheck disable=SC2086
+        "$b" --processes 8 $JOBS_ARGS
         ;;
     ablation)
         # One run per study; its usage line names them.
