@@ -8,6 +8,7 @@
 #include "disk/disk.hpp"
 #include "disk/fault_model.hpp"
 #include "disk/scheduler.hpp"
+#include "disk/seek_model.hpp"
 #include "ec/data_plane.hpp"
 #include "layout/layout.hpp"
 #include "sim/event_queue.hpp"
@@ -1461,6 +1462,8 @@ ArrayController::ArrayController(EventQueue &eq,
     // kilobytes; under-estimating only costs growth reallocations that
     // the alloc-guard test would surface.
     eq_.reserve(static_cast<std::size_t>(layout_->numDisks()) * 16 + 128);
+    // Every disk shares one geometry, so one seek table serves them all.
+    const auto seekModel = std::make_shared<const SeekModel>(params_.geometry);
     for (int d = 0; d < layout_->numDisks(); ++d) {
         auto background =
             params_.prioritizeUserIo
@@ -1468,7 +1471,7 @@ ArrayController::ArrayController(EventQueue &eq,
                                 params_.geometry.cylinders)
                 : nullptr;
         disks_.push_back(std::make_unique<Disk>(
-            eq_, params_.geometry,
+            eq_, params_.geometry, seekModel,
             makeScheduler(params_.scheduler, params_.geometry.cylinders),
             d, std::move(background)));
         if (params_.trackBuffer)

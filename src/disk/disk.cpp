@@ -5,6 +5,7 @@
 #include "disk/fault_model.hpp"
 #include "disk/geometry.hpp"
 #include "disk/scheduler.hpp"
+#include "disk/seek_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "stats/perf_counters.hpp"
@@ -18,14 +19,24 @@ namespace declust {
 Disk::Disk(EventQueue &eq, const DiskGeometry &geometry,
            std::unique_ptr<Scheduler> scheduler, int id,
            std::unique_ptr<Scheduler> backgroundScheduler)
+    : Disk(eq, geometry, std::make_shared<const SeekModel>(geometry),
+           std::move(scheduler), id, std::move(backgroundScheduler))
+{
+}
+
+Disk::Disk(EventQueue &eq, const DiskGeometry &geometry,
+           std::shared_ptr<const SeekModel> seekModel,
+           std::unique_ptr<Scheduler> scheduler, int id,
+           std::unique_ptr<Scheduler> backgroundScheduler)
     : eq_(eq),
       geometry_(geometry),
-      seekModel_(geometry),
+      seekModel_(std::move(seekModel)),
       scheduler_(std::move(scheduler)),
       backgroundScheduler_(std::move(backgroundScheduler)),
       id_(id)
 {
     geometry_.validate();
+    DECLUST_ASSERT(seekModel_, "disk needs a seek model");
     DECLUST_ASSERT(scheduler_, "disk needs a scheduler");
     revTicks_ = geometry_.revolutionTicks();
     secTicks_ = geometry_.sectorTicks();
@@ -357,7 +368,7 @@ Disk::computeServiceEnd(const DiskRequest &request, Tick start, Chs chs)
 
     // Seek to the target cylinder.
     const int distance = std::abs(chs.cylinder - headCylinder_);
-    Tick t = start + seekModel_.seekTicks(distance);
+    Tick t = start + seekModel_->seekTicks(distance);
     if (chs.cylinder != headCylinder_) {
         direction_ = chs.cylinder > headCylinder_ ? SeekDirection::Up
                                                   : SeekDirection::Down;
@@ -382,7 +393,7 @@ Disk::computeServiceEnd(const DiskRequest &request, Tick start, Chs chs)
             ++chs.cylinder;
             DECLUST_ASSERT(chs.cylinder < geometry_.cylinders,
                            "transfer ran off the disk");
-            t += seekModel_.seekTicks(1);
+            t += seekModel_->seekTicks(1);
             headCylinder_ = chs.cylinder;
         }
     }

@@ -122,6 +122,15 @@ class Disk
          std::unique_ptr<Scheduler> scheduler, int id,
          std::unique_ptr<Scheduler> backgroundScheduler = nullptr);
 
+    /**
+     * As above, but sharing @p seekModel (built for @p geometry) with
+     * the other disks of an array instead of building its own table.
+     */
+    Disk(EventQueue &eq, const DiskGeometry &geometry,
+         std::shared_ptr<const SeekModel> seekModel,
+         std::unique_ptr<Scheduler> scheduler, int id,
+         std::unique_ptr<Scheduler> backgroundScheduler = nullptr);
+
     Disk(const Disk &) = delete;
     Disk &operator=(const Disk &) = delete;
 
@@ -168,7 +177,7 @@ class Disk
 
     int id() const { return id_; }
     const DiskGeometry &geometry() const { return geometry_; }
-    const SeekModel &seekModel() const { return seekModel_; }
+    const SeekModel &seekModel() const { return *seekModel_; }
 
     /** True while a request is being serviced. */
     bool busy() const { return busy_; }
@@ -276,7 +285,7 @@ class Disk
 
     EventQueue &eq_;
     DiskGeometry geometry_;
-    SeekModel seekModel_;
+    std::shared_ptr<const SeekModel> seekModel_;
     std::unique_ptr<Scheduler> scheduler_;
     std::unique_ptr<Scheduler> backgroundScheduler_;
     int id_;

@@ -1,11 +1,7 @@
 #include "ec/data_plane.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cstring>
 
-#include "ec/buffer_pool.hpp"
 #include "ec/kernels.hpp"
 #include "util/error.hpp"
 
@@ -15,12 +11,8 @@ namespace {
 
 std::atomic<DataPlaneMode> g_defaultMode{DataPlaneMode::Off};
 
-/** Rotation stride per 64-bit word of the expansion; coprime to 64 so
- * the 64 word rotations cycle through distinct alignments. */
-constexpr unsigned kRotStride = 29;
-
-/** Bytes after which the expansion repeats: 64 words of 8 bytes. */
-constexpr std::size_t kPeriodBytes = 64 * 8;
+/** Buffer alignment, so the SIMD kernels run their aligned fast path. */
+constexpr std::size_t kAlignment = 64;
 
 } // namespace
 
@@ -61,50 +53,46 @@ selectDataPlane(DataPlaneMode mode)
 }
 
 DataPlane::DataPlane(DataPlaneMode mode, std::size_t unitBytes)
-    : mode_(mode), unitBytes_(unitBytes), kernels_(kernels()),
-      pool_(unitBytes)
+    : mode_(mode), unitBytes_(unitBytes), kernels_(kernels())
 {
     DECLUST_ASSERT(unitBytes_ > 0 && unitBytes_ % 8 == 0,
                    "data-plane unit size ", unitBytes_,
                    " is not a positive multiple of 8 bytes");
+    // One allocation, aligned by hand over the plain (unaligned) new so
+    // the allocation-guard test, which does not interpose the aligned
+    // overloads, sees it. Scratch starts a cache line past the
+    // accumulator's end: units a multiple of 4 KiB apart would falsely
+    // alias loads from one with stores to the other.
+    const std::size_t stride =
+        (unitBytes_ + kAlignment - 1) / kAlignment * kAlignment + kAlignment;
+    storage_ = std::make_unique<std::uint8_t[]>(kAlignment + 2 * stride);
+    const auto base = reinterpret_cast<std::uintptr_t>(storage_.get());
+    acc_ = storage_.get() + (kAlignment - base % kAlignment) % kAlignment;
+    scratch_ = acc_ + stride;
 }
 
 void
 DataPlane::expandInto(std::uint8_t *dst, std::uint64_t v) const
 {
-    // Word i is rotl(v, (29 i) mod 64), which repeats every 64 words:
-    // build one period, then replicate it by doubling copies.
-    const std::size_t period = std::min(unitBytes_, kPeriodBytes);
-    for (std::size_t i = 0; i < period / 8; ++i) {
-        const std::uint64_t w =
-            std::rotl(v, static_cast<int>((i * kRotStride) & 63));
-        std::memcpy(dst + i * 8, &w, 8);
-    }
-    for (std::size_t done = period; done < unitBytes_;) {
-        const std::size_t n = std::min(done, unitBytes_ - done);
-        std::memcpy(dst + done, dst, n);
-        done += n;
-    }
+    kernels_.expand(dst, v, unitBytes_);
 }
 
 void
 DataPlane::checkCombine(const char *site, const std::uint64_t *vals,
                         int count, std::uint64_t expected)
 {
-    BufferLease acc(pool_);
-    BufferLease scratch(pool_);
-
-    expandInto(acc.get(), count > 0 ? vals[0] : 0);
+    kernels_.expand(acc_, count > 0 ? vals[0] : 0, unitBytes_);
     for (int i = 1; i < count; ++i) {
-        expandInto(scratch.get(), vals[i]);
-        kernels_.xorInto(acc.get(), scratch.get(), unitBytes_);
+        kernels_.expand(scratch_, vals[i], unitBytes_);
+        kernels_.xorInto(acc_, scratch_, unitBytes_);
     }
 
-    expandInto(scratch.get(), expected);
-    if (std::memcmp(acc.get(), scratch.get(), unitBytes_) != 0) {
-        // Locate the first diverging byte for the diagnostic.
+    if (!kernels_.matchesExpansion(acc_, expected, unitBytes_)) {
+        // Write the expected image only now, to locate the first
+        // diverging byte for the diagnostic.
+        kernels_.expand(scratch_, expected, unitBytes_);
         std::size_t at = 0;
-        while (acc.get()[at] == scratch.get()[at])
+        while (acc_[at] == scratch_[at])
             ++at;
         DECLUST_PANIC("data-plane mismatch at combine site '", site,
                       "': real ", count, "-way SIMD XOR (tier ",

@@ -12,15 +12,16 @@
  * Linearity gives expand(a) ^ expand(b) == expand(a ^ b), and word 0
  * makes the map injective — so XORing the real byte images of a parity
  * combine's inputs must land exactly on the byte image of the 64-bit
- * expected value, and one memcmp proves 4096 bytes of real SIMD parity
- * math agree with the ShadowModel. The rotation stride (29, coprime to
- * 64) spreads each value bit across different bit positions in every
- * word, so a kernel bug that garbles lanes, misses a tail, or swaps
- * operand halves cannot cancel out.
+ * expected value, and one matchesExpansion kernel pass (which never
+ * writes that image) proves 4096 bytes of real SIMD parity math agree
+ * with the ShadowModel. The rotation stride (29, coprime to 64) spreads
+ * each value bit across different bit positions in every word, so a
+ * kernel bug that garbles lanes, misses a tail, or swaps operand halves
+ * cannot cancel out.
  *
  * Modes (DataPlaneMode): Off — no buffers touched, byte-identical to
  * the pre-data-plane goldens; Verify — every combine site XORs real
- * pooled buffers through the dispatched SIMD kernels and cross-checks
+ * unit buffers through the dispatched SIMD kernels and cross-checks
  * against the shadow value (zero effect on simulated time, so goldens
  * still match).
  */
@@ -28,9 +29,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
-#include "ec/buffer_pool.hpp"
 #include "ec/kernels.hpp"
 #include "util/annotations.hpp"
 
@@ -59,10 +60,10 @@ DataPlaneMode defaultDataPlaneMode();
 void selectDataPlane(DataPlaneMode mode);
 
 /**
- * Per-controller engine: buffer pool + dispatched kernels + counters.
- * All checks are synchronous (acquire, expand, XOR, compare, release
- * within one call), so the pool's steady state is two leased buffers
- * deep and allocation-free after warm-up.
+ * Per-controller engine: two unit buffers + dispatched kernels +
+ * counters. Every check is synchronous (expand, XOR, compare within one
+ * call) and needs exactly an accumulator and a scratch unit, so both
+ * are allocated once at construction and checks never allocate.
  */
 class DataPlane
 {
@@ -103,7 +104,9 @@ class DataPlane
     DataPlaneMode mode_;
     std::size_t unitBytes_;
     const Kernels &kernels_;
-    BufferPool pool_;
+    std::unique_ptr<std::uint8_t[]> storage_; ///< backs both units
+    std::uint8_t *acc_ = nullptr;     ///< 64-byte-aligned accumulator
+    std::uint8_t *scratch_ = nullptr; ///< 64-byte-aligned source unit
     Stats stats_;
 };
 

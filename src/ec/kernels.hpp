@@ -8,9 +8,9 @@
  * supports — or the tier named by DECLUST_EC_FORCE_TIER, clamped down
  * to the best supported one — and exposes it as a vtable-free function
  * table. All kernels use unaligned loads/stores, so they accept any
- * buffer alignment and any length (vector body plus scalar tail); the
- * buffer pool still hands out 64-byte-aligned units so the aligned fast
- * path is what actually runs.
+ * buffer alignment and any length (a multiple of 8 for the expansion
+ * kernels); the data plane still hands them 64-byte-aligned units so
+ * the aligned fast path is what actually runs.
  *
  * Tier naming: "sse2" names the 128-bit XOR ISA; its GF(256) kernels
  * use the SSSE3 PSHUFB split-table technique (ISA-L/jerasure style), so
@@ -47,6 +47,11 @@ const char *tierName(Tier tier);
 /** Parse a tier name; false on an unknown spelling. */
 bool tierFromName(const std::string &name, Tier *out);
 
+/** Per-word rotation stride of a unit's generative image (see
+ * data_plane.hpp); coprime to 64, so the image repeats every 64 words. */
+inline constexpr unsigned kExpandStride = 29;
+inline constexpr std::size_t kExpandPeriodBytes = 64 * 8;
+
 /**
  * One tier's kernel set. Plain function pointers (no virtual dispatch):
  * the table is resolved once and the per-call cost is one indirect
@@ -64,6 +69,13 @@ struct Kernels
      * Reed-Solomon / RAID 6 encode loop is built from). */
     void (*gfMulAdd)(std::uint8_t *dst, const std::uint8_t *src,
                      std::uint8_t c, std::size_t n);
+    /** dst = the generative image of @p v over @p n bytes (a multiple
+     * of 8): word i = rotl64(v, (kExpandStride * i) mod 64). */
+    void (*expand)(std::uint8_t *dst, std::uint64_t v, std::size_t n);
+    /** True iff the @p n bytes at @p src equal expand(v, n); the image
+     * itself is never written. */
+    bool (*matchesExpansion)(const std::uint8_t *src, std::uint64_t v,
+                             std::size_t n);
     Tier tier;
 };
 
@@ -103,6 +115,9 @@ void gfMulScalar(std::uint8_t *dst, const std::uint8_t *src,
                  std::uint8_t c, std::size_t n);
 void gfMulAddScalar(std::uint8_t *dst, const std::uint8_t *src,
                     std::uint8_t c, std::size_t n);
+void expandScalar(std::uint8_t *dst, std::uint64_t v, std::size_t n);
+bool matchesExpansionScalar(const std::uint8_t *src, std::uint64_t v,
+                            std::size_t n);
 #if defined(__x86_64__) || defined(__i386__)
 void xorIntoSse2(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t n);
@@ -116,12 +131,18 @@ void gfMulAvx2(std::uint8_t *dst, const std::uint8_t *src,
                std::uint8_t c, std::size_t n);
 void gfMulAddAvx2(std::uint8_t *dst, const std::uint8_t *src,
                   std::uint8_t c, std::size_t n);
+void expandAvx2(std::uint8_t *dst, std::uint64_t v, std::size_t n);
+bool matchesExpansionAvx2(const std::uint8_t *src, std::uint64_t v,
+                          std::size_t n);
 void xorIntoAvx512(std::uint8_t *dst, const std::uint8_t *src,
                    std::size_t n);
 void gfMulAvx512(std::uint8_t *dst, const std::uint8_t *src,
                  std::uint8_t c, std::size_t n);
 void gfMulAddAvx512(std::uint8_t *dst, const std::uint8_t *src,
                     std::uint8_t c, std::size_t n);
+void expandAvx512(std::uint8_t *dst, std::uint64_t v, std::size_t n);
+bool matchesExpansionAvx512(const std::uint8_t *src, std::uint64_t v,
+                            std::size_t n);
 #endif
 /** @} */
 

@@ -47,39 +47,10 @@ xorIntoSse2(std::uint8_t *dst, const std::uint8_t *src, std::size_t n)
 
 namespace {
 
-/** One PSHUFB split-table step: product of c with 16 bytes of x. */
-inline __m128i
-gfStep128(__m128i x, __m128i tblLo, __m128i tblHi, __m128i nibMask)
-{
-    __m128i lo = _mm_and_si128(x, nibMask);
-    __m128i hi = _mm_and_si128(_mm_srli_epi16(x, 4), nibMask);
-    return _mm_xor_si128(_mm_shuffle_epi8(tblLo, lo),
-                         _mm_shuffle_epi8(tblHi, hi));
-}
-
-} // namespace
-
-void
-gfMulSse2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
-          std::size_t n)
-{
-    const GfTables &t = gfTables();
-    const __m128i tblLo = _mm_loadu_si128((const __m128i *)t.shuffleLo[c]);
-    const __m128i tblHi = _mm_loadu_si128((const __m128i *)t.shuffleHi[c]);
-    const __m128i nibMask = _mm_set1_epi8(0x0f);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __m128i x = _mm_loadu_si128((const __m128i *)(src + i));
-        _mm_storeu_si128((__m128i *)(dst + i),
-                         gfStep128(x, tblLo, tblHi, nibMask));
-    }
-    const std::uint8_t *row = t.mul[c];
-    for (; i < n; ++i)
-        dst[i] = row[src[i]];
-}
-
-void
-gfMulAddSse2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
+/** dst = c * src, or dst ^= c * src when @p Add, over @p n bytes. */
+template <bool Add>
+inline void
+gfMulLoop128(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
              std::size_t n)
 {
     const GfTables &t = gfTables();
@@ -88,14 +59,34 @@ gfMulAddSse2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
     const __m128i nibMask = _mm_set1_epi8(0x0f);
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
-        __m128i x = _mm_loadu_si128((const __m128i *)(src + i));
-        __m128i d = _mm_loadu_si128((const __m128i *)(dst + i));
-        __m128i p = gfStep128(x, tblLo, tblHi, nibMask);
-        _mm_storeu_si128((__m128i *)(dst + i), _mm_xor_si128(d, p));
+        const __m128i x = _mm_loadu_si128((const __m128i *)(src + i));
+        const __m128i lo = _mm_and_si128(x, nibMask);
+        const __m128i hi = _mm_and_si128(_mm_srli_epi16(x, 4), nibMask);
+        __m128i p = _mm_xor_si128(_mm_shuffle_epi8(tblLo, lo),
+                                  _mm_shuffle_epi8(tblHi, hi));
+        if constexpr (Add)
+            p = _mm_xor_si128(p, _mm_loadu_si128((const __m128i *)(dst + i)));
+        _mm_storeu_si128((__m128i *)(dst + i), p);
     }
     const std::uint8_t *row = t.mul[c];
     for (; i < n; ++i)
-        dst[i] ^= row[src[i]];
+        dst[i] = Add ? dst[i] ^ row[src[i]] : row[src[i]];
+}
+
+} // namespace
+
+void
+gfMulSse2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
+          std::size_t n)
+{
+    gfMulLoop128<false>(dst, src, c, n);
+}
+
+void
+gfMulAddSse2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
+             std::size_t n)
+{
+    gfMulLoop128<true>(dst, src, c, n);
 }
 
 } // namespace declust::ec

@@ -12,11 +12,10 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 [[noreturn]] void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::ostringstream os;
-    os << "fatal: " << file << ":" << line << ": " << msg;
-    throw ConfigError(os.str());
+    // The user's mistake alone: a source location means nothing to them.
+    throw ConfigError(msg);
 }
 
 } // namespace detail

@@ -5,7 +5,8 @@
  * Following the simulator convention (cf. gem5's logging.hh):
  *  - panic():  an internal invariant was violated; this is a library bug.
  *  - fatal():  the caller supplied an impossible configuration; this is a
- *              user error, reported without a core dump.
+ *              user error, reported without a core dump and with only
+ *              the message (panics also carry `panic: file:line:`).
  */
 #pragma once
 
@@ -35,8 +36,7 @@ namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 
 /** Varargs-to-string helper used by the panic/fatal macros. */
 template <typename... Args>
@@ -59,8 +59,7 @@ concat(Args &&...args)
 
 /** Abort with a message: impossible user configuration. */
 #define DECLUST_FATAL(...)                                                  \
-    ::declust::detail::fatalImpl(__FILE__, __LINE__,                        \
-                                 ::declust::detail::concat(__VA_ARGS__))
+    ::declust::detail::fatalImpl(::declust::detail::concat(__VA_ARGS__))
 
 /** Assert an internal invariant; always on (simulation correctness). */
 #define DECLUST_ASSERT(cond, ...)                                           \

@@ -18,7 +18,8 @@ CASES = (
     (["ablation", "unit_size", "--unit-sectors", "0"],
      "configuration error: "),
     (["fig8_recon_single", "--stripes", "1"],
-     "configuration error: "),
+     "configuration error: parity stripe size G=1 must satisfy "
+     "2 <= G <= C=21 (G = 2 is declustered mirroring, G = C RAID 5)\n"),
     (["ablation", "cpu_overhead", "--data-plane", "on"],
      "unknown --data-plane 'on' (expected: off | verify)"),
     (["ablation"], "usage: ablation <study> [options], <study> one of: "),

@@ -3,15 +3,16 @@
  * Tests for the erasure-code kernel layer: GF(256) table algebra
  * against a bitwise oracle, randomized scalar-vs-SIMD equivalence at
  * every tier the host supports (odd lengths, misaligned buffers, guard
- * bytes), dispatch-tier resolution, and name parsing.
+ * bytes), each tier's generative-image expand/compare kernels against
+ * the word definition, dispatch-tier resolution, and name parsing.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "ec/buffer_pool.hpp"
 #include "ec/data_plane.hpp"
 #include "ec/gf256.hpp"
 #include "ec/kernels.hpp"
@@ -225,6 +226,86 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
+// Generative-image kernels, every supported tier.
+
+/** Unit sizes below, at and past one 512-byte period, with tails. */
+constexpr std::size_t kImageSizes[] = {8, 64, 120, 504, 512, 520, 1536, 4096};
+
+/** The image by its word definition: word i = rotl64(v, (29 i) & 63). */
+std::vector<std::uint8_t>
+imageByDefinition(std::uint64_t v, std::size_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n / 8; ++i) {
+        const std::uint64_t w = std::rotl(v, static_cast<int>((29 * i) & 63));
+        std::memcpy(out.data() + i * 8, &w, 8);
+    }
+    return out;
+}
+
+class ExpansionKernels : public ::testing::TestWithParam<Tier>
+{
+};
+
+TEST_P(ExpansionKernels, ExpandEqualsTheWordDefinition)
+{
+    const Tier tier = GetParam();
+    if (!tierSupported(tier))
+        GTEST_SKIP() << "host cannot execute " << tierName(tier);
+    const Kernels &k = kernelsFor(tier);
+    constexpr std::size_t kGuard = 67; // odd: the image lands misaligned
+    Rng rng(0xe4u + static_cast<std::uint64_t>(tier));
+    for (const std::size_t n : kImageSizes) {
+        for (int trial = 0; trial < 8; ++trial) {
+            const std::uint64_t v = rng.next();
+            std::vector<std::uint8_t> buf(n + 2 * kGuard, 0xa5);
+            k.expand(buf.data() + kGuard, v, n);
+            std::vector<std::uint8_t> want(kGuard, 0xa5);
+            const auto image = imageByDefinition(v, n);
+            want.insert(want.end(), image.begin(), image.end());
+            want.insert(want.end(), kGuard, 0xa5);
+            ASSERT_EQ(buf, want) << tierName(tier) << " n=" << n;
+        }
+    }
+}
+
+TEST_P(ExpansionKernels, MatchesExpansionRejectsEveryFlippedBit)
+{
+    const Tier tier = GetParam();
+    if (!tierSupported(tier))
+        GTEST_SKIP() << "host cannot execute " << tierName(tier);
+    const Kernels &k = kernelsFor(tier);
+    Rng rng(0xc0u + static_cast<std::uint64_t>(tier));
+    for (const std::size_t n : kImageSizes) {
+        const std::uint64_t v = rng.next();
+        auto image = imageByDefinition(v, n);
+        EXPECT_TRUE(k.matchesExpansion(image.data(), v, n))
+            << tierName(tier) << " n=" << n;
+        const std::size_t flips[] = {0,   7,   63,  64,    127,
+                                     128, 511, 512, n - 8, n - 1};
+        for (const std::size_t at : flips) {
+            if (at >= n)
+                continue;
+            const auto bit = static_cast<std::uint8_t>(1u << (at % 8));
+            image[at] ^= bit;
+            EXPECT_FALSE(k.matchesExpansion(image.data(), v, n))
+                << tierName(tier) << " n=" << n << " flipped byte " << at;
+            image[at] ^= bit;
+        }
+        EXPECT_FALSE(
+            k.matchesExpansion(imageByDefinition(v ^ 1, n).data(), v, n))
+            << tierName(tier) << " n=" << n;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, ExpansionKernels,
+    ::testing::Values(Tier::Scalar, Tier::Sse2, Tier::Avx2, Tier::Avx512),
+    [](const ::testing::TestParamInfo<Tier> &info) {
+        return std::string(tierName(info.param));
+    });
+
+// ---------------------------------------------------------------------
 // Dispatch and names.
 
 TEST(Dispatch, TierLadderIsMonotonic)
@@ -241,6 +322,8 @@ TEST(Dispatch, TierLadderIsMonotonic)
     EXPECT_NE(kernels().xorInto, nullptr);
     EXPECT_NE(kernels().gfMul, nullptr);
     EXPECT_NE(kernels().gfMulAdd, nullptr);
+    EXPECT_NE(kernels().expand, nullptr);
+    EXPECT_NE(kernels().matchesExpansion, nullptr);
 }
 
 TEST(Dispatch, TierNamesRoundTrip)
@@ -273,26 +356,6 @@ TEST(Dispatch, DataPlaneModeNamesRoundTrip)
 TEST(Dispatch, CpuFeatureStringIsNonEmpty)
 {
     EXPECT_FALSE(cpuFeatureString().empty());
-}
-
-// ---------------------------------------------------------------------
-// Buffer pool.
-
-TEST(BufferPool, LeasesAreAlignedDistinctAndRecycled)
-{
-    BufferPool pool(96, 4);
-    std::uint8_t *first = nullptr;
-    {
-        BufferLease a(pool), b(pool);
-        EXPECT_NE(a.get(), b.get());
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.get()) % 64, 0u);
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.get()) % 64, 0u);
-        std::memset(a.get(), 0xab, 96);
-        first = a.get();
-    }
-    // LIFO free list: the most recently released buffer comes back.
-    BufferLease c(pool);
-    EXPECT_EQ(c.get(), first);
 }
 
 } // namespace

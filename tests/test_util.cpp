@@ -91,6 +91,26 @@ TEST(Error, MessagesIncludeDetail)
     }
 }
 
+TEST(Error, ConfigErrorNamesOnlyTheMistake)
+{
+    // A configuration error is the user's mistake: what() is the message
+    // alone, with no source location. A panic keeps `panic: file:line:`.
+    try {
+        DECLUST_FATAL("stripe size G=", 1, " is too small");
+        FAIL() << "should have thrown";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()), "stripe size G=1 is too small");
+    }
+    try {
+        DECLUST_PANIC("broken");
+        FAIL() << "should have thrown";
+    } catch (const InternalError &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("panic: ", 0), 0u);
+        EXPECT_NE(what.find("test_util.cpp:"), std::string::npos);
+    }
+}
+
 TEST(Table, AlignsColumns)
 {
     TablePrinter t({"a", "long-header"});

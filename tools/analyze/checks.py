@@ -23,7 +23,7 @@ Token rules, whole identifiers, includes and pragmas:
 
 Semantic rules:
 
-  pooled-use-after-release  use of a SlabPool/BufferPool/IoOpPool/
+  pooled-use-after-release  use of a SlabPool/IoOpPool/
                             DeferredIssue handle on a path after its
                             release/deallocate/recycle
   pooled-escape             pooled handle stored into a growing
@@ -699,8 +699,7 @@ def check_ec_isolation(files):
                         fir.rel, line, "ec-isolation",
                         "raw SIMD intrinsic / aligned-alloc '%s' "
                         "outside src/ec/ — dispatch through "
-                        "ec::Kernels and lease from ec::BufferPool"
-                        % name))
+                        "ec::Kernels" % name))
             hit = _transitive(graph, fir.rel) & intrinsic_files
             if hit:
                 culprit = sorted(hit)[0]
