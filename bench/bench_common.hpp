@@ -16,7 +16,8 @@
  *   --json FILE    append a machine-readable run record (events/sec,
  *                  wall clock, simulated-to-wall time ratio)
  *
- * Paper-figure drivers additionally accept
+ * Drivers that shard (`paper` for all its figures but
+ * fig6_model_vs_sim, bench_mttdl, bench_robustness) additionally accept
  *   --shards S     split every sweep point across S independent array
  *                  shards (own event queue, own shardSeed-derived
  *                  sub-seed, a proportional slice of the work), merged
@@ -31,9 +32,12 @@
  *
  * Drivers describe their sweep as a vector of Trial closures — one per
  * grid point, each standing up its own ArraySimulation — and hand it to
- * runTrials(), which fans them across the worker pool and splices the
- * returned rows back in trial order, so the emitted table is identical
- * to a serial run.
+ * runTrials(), or as ShardedTrials to runShardedTrials(); either fans
+ * them across the worker pool and splices the returned rows back in
+ * trial order, so the emitted table is identical to a serial run. The
+ * paper's figures are entries of one table in paper.cpp (`paper
+ * <figure>`), its ablations entries of one in ablation.cpp (`ablation
+ * <study>`).
  */
 #pragma once
 

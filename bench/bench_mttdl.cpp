@@ -91,7 +91,6 @@ run(int argc, char **argv)
     }
 
     const std::vector<long> stripes = opts.getIntList("stripes");
-    const int numTrials = static_cast<int>(stripes.size());
 
     // Shard `shard` of a trial covers the contiguous window range
     // [firstWindow(shard), firstWindow(shard) + share); window w's
@@ -101,105 +100,113 @@ run(int argc, char **argv)
                std::min(shard, windows % shards);
     };
 
-    perfReset();
-    TrialRunner runner(static_cast<int>(opts.getInt("jobs")));
-    ProgressMeter meter("bench_mttdl",
-                        shards > 1 ? "shards" : "trials");
-    std::vector<std::vector<double>> wall(
-        static_cast<std::size_t>(numTrials),
-        std::vector<double>(static_cast<std::size_t>(shards), 0.0));
-
-    auto runShard = [&opts, &stripes, firstWindow, windows, shards,
-                     mtbfSec, baseSeed, disks](int trial, int shard) {
-        FailureWindowConfig fw;
-        fw.sim.numDisks = disks;
-        fw.sim.stripeUnits = static_cast<int>(
-            stripes[static_cast<std::size_t>(trial)]);
-        fw.sim.geometry = geometryFrom(opts);
-        fw.sim.accessesPerSec = opts.getDouble("rate");
-        fw.sim.readFraction = 0.5;
-        fw.sim.algorithm = ReconAlgorithm::Baseline;
-        fw.sim.latentErrorProb = opts.getDouble("latent");
-        fw.sim.transientReadProb = opts.getDouble("transient");
-        fw.sim.faultMaxRetries =
-            static_cast<int>(opts.getInt("retries"));
-        // A scrub interval (or any other robustness knob) applies to
-        // every window: the scrubber drains latent defects between
-        // the failure and the survivor reads that would trip on them.
-        applyRobustnessOptions(opts, &fw.sim);
-        fw.mtbfSimSec = mtbfSec;
-        fw.warmupSec = opts.getDouble("warmup");
-
-        const auto g = static_cast<std::uint64_t>(fw.sim.stripeUnits);
-        const std::uint64_t gSeed =
-            splitmix64(taggedSeed(baseSeed, g << 32));
-        const int first = firstWindow(shard);
-        const int share = shardShare(windows, shard, shards);
-
-        MttdlShard result;
-        for (int i = 0; i < share; ++i) {
-            fw.windowSeed = splitmix64(taggedSeed(
-                gSeed, static_cast<std::uint64_t>(first + i)));
-            const WindowResult wr = runFailureWindow(fw);
-            ++result.agg.windows;
-            result.agg.secondFailures += wr.secondFailure;
-            result.agg.losses += wr.dataLoss;
-            result.agg.totalReconSec += wr.reconSec;
-            result.agg.unrecoverableStripes += wr.unrecoverableStripes;
-            result.agg.mediumErrors +=
-                static_cast<long long>(wr.mediumErrors);
-            result.agg.sectorRepairs +=
-                static_cast<long long>(wr.sectorRepairs);
-            result.events += wr.events;
-            result.simSec += wr.simSec;
-        }
-        return result;
-    };
-
-    auto byStripe = runShardedOrdered<MttdlShard, MttdlShard>(
-        runner, numTrials, shards,
-        [&runShard, &wall](int trial, int shard) {
-            const auto start = std::chrono::steady_clock::now();
-            MttdlShard result = runShard(trial, shard);
-            wall[static_cast<std::size_t>(trial)]
-                [static_cast<std::size_t>(shard)] =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-            return result;
-        },
-        [](int, std::vector<MttdlShard> &parts) {
-            MttdlShard merged = std::move(parts[0]);
-            for (std::size_t s = 1; s < parts.size(); ++s) {
-                merged.agg.merge(parts[s].agg);
-                merged.events += parts[s].events;
-                merged.simSec += parts[s].simSec;
-            }
-            return merged;
-        },
-        [&meter](int done, int total) { meter.update(done, total); });
-    meter.finish(numTrials * shards);
-
-    SweepOutcome out;
-    out.trials = numTrials;
-    out.jobs = runner.jobs();
-    out.shards = shards;
-    out.wallSec = meter.elapsedSec();
-    out.shardWallSec.assign(static_cast<std::size_t>(shards), 0.0);
-    for (int t = 0; t < numTrials; ++t)
-        for (int s = 0; s < shards; ++s)
-            out.shardWallSec[static_cast<std::size_t>(s)] +=
-                wall[static_cast<std::size_t>(t)]
-                    [static_cast<std::size_t>(s)];
-    for (const MttdlShard &merged : byStripe) {
-        out.events += merged.events;
-        out.simSec += merged.simSec;
-    }
-
     TablePrinter table({"alpha", "G", "windows", "2nd fail", "losses",
                         "recon s", "p_meas", "ci95", "p_model",
                         "T_hat s", "mttdl_meas h", "mttdl_model h",
                         "mttdl@150kh", "agree"});
+    // Each trial's merged aggregate, in its own slot, for the campaign
+    // record below.
+    std::vector<CampaignAggregate> aggs(stripes.size());
+    std::vector<ShardedTrial<MttdlShard>> trials;
+    for (std::size_t trial = 0; trial < stripes.size(); ++trial) {
+        const int G = static_cast<int>(stripes[trial]);
+        trials.push_back(
+            {[&opts, firstWindow, windows, shards, mtbfSec, baseSeed,
+              disks, G](int shard) {
+                 FailureWindowConfig fw;
+                 fw.sim.numDisks = disks;
+                 fw.sim.stripeUnits = G;
+                 fw.sim.geometry = geometryFrom(opts);
+                 fw.sim.accessesPerSec = opts.getDouble("rate");
+                 fw.sim.readFraction = 0.5;
+                 fw.sim.algorithm = ReconAlgorithm::Baseline;
+                 fw.sim.latentErrorProb = opts.getDouble("latent");
+                 fw.sim.transientReadProb = opts.getDouble("transient");
+                 fw.sim.faultMaxRetries =
+                     static_cast<int>(opts.getInt("retries"));
+                 // A scrub interval (or any other robustness knob)
+                 // applies to every window: the scrubber drains latent
+                 // defects between the failure and the survivor reads
+                 // that would trip on them.
+                 applyRobustnessOptions(opts, &fw.sim);
+                 fw.mtbfSimSec = mtbfSec;
+                 fw.warmupSec = opts.getDouble("warmup");
+
+                 const std::uint64_t gSeed = splitmix64(taggedSeed(
+                     baseSeed, static_cast<std::uint64_t>(G) << 32));
+                 const int first = firstWindow(shard);
+                 const int share = shardShare(windows, shard, shards);
+
+                 MttdlShard result;
+                 for (int i = 0; i < share; ++i) {
+                     fw.windowSeed = splitmix64(taggedSeed(
+                         gSeed, static_cast<std::uint64_t>(first + i)));
+                     const WindowResult wr = runFailureWindow(fw);
+                     ++result.agg.windows;
+                     result.agg.secondFailures += wr.secondFailure;
+                     result.agg.losses += wr.dataLoss;
+                     result.agg.totalReconSec += wr.reconSec;
+                     result.agg.unrecoverableStripes +=
+                         wr.unrecoverableStripes;
+                     result.agg.mediumErrors +=
+                         static_cast<long long>(wr.mediumErrors);
+                     result.agg.sectorRepairs +=
+                         static_cast<long long>(wr.sectorRepairs);
+                     result.events += wr.events;
+                     result.simSec += wr.simSec;
+                 }
+                 return result;
+             },
+             [&aggs, trial, mtbfSec, disks,
+              G](std::vector<MttdlShard> &parts) {
+                 MttdlShard &merged = parts[0];
+                 for (std::size_t s = 1; s < parts.size(); ++s) {
+                     merged.agg.merge(parts[s].agg);
+                     merged.events += parts[s].events;
+                     merged.simSec += parts[s].simSec;
+                 }
+                 const CampaignAggregate &agg = aggs[trial] = merged.agg;
+                 const double alpha =
+                     static_cast<double>(G - 1) / (disks - 1);
+                 const double pMeas = agg.lossRate();
+                 const double ci =
+                     binomialCiHalfWidth(pMeas, agg.windows);
+                 const double pModel = windowLossProbability(
+                     mtbfSec, disks - 1, agg.meanReconSec());
+                 const double tHat =
+                     pMeas < 1.0
+                         ? impliedWindowSec(pMeas, mtbfSec, disks - 1)
+                         : 0.0;
+                 const double mttdlMeas =
+                     mttdlFromLossProbability(mtbfSec, disks, pMeas) /
+                     3600.0;
+                 const double mttdlModel =
+                     mttdlFromLossProbability(mtbfSec, disks, pModel) /
+                     3600.0;
+                 const double paperMttdl = mttdlFromReconstruction(
+                     disks, 150'000.0, agg.meanReconSec());
+                 TrialResult result;
+                 result.rows.push_back(
+                     {fmtDouble(alpha, 2), std::to_string(G),
+                      std::to_string(agg.windows),
+                      std::to_string(agg.secondFailures),
+                      std::to_string(agg.losses),
+                      fmtDouble(agg.meanReconSec(), 1),
+                      fmtDouble(pMeas, 4), fmtDouble(ci, 4),
+                      fmtDouble(pModel, 4), fmtDouble(tHat, 1),
+                      fmtDouble(mttdlMeas, 1), fmtDouble(mttdlModel, 1),
+                      fmtDouble(paperMttdl, 0),
+                      lossRateAgrees(pMeas, pModel, agg.windows)
+                          ? "yes"
+                          : "NO"});
+                 result.events = merged.events;
+                 result.simSec = merged.simSec;
+                 return result;
+             }});
+    }
+    const SweepOutcome out =
+        runShardedTrials(opts, "bench_mttdl", table, trials, shards);
+
     JsonObject campaign;
     campaign.set("bench", "bench_mttdl")
         .set("seed", static_cast<std::int64_t>(baseSeed))
@@ -219,35 +226,10 @@ run(int argc, char **argv)
 
     for (std::size_t gi = 0; gi < stripes.size(); ++gi) {
         const int G = static_cast<int>(stripes[gi]);
-        const CampaignAggregate &agg = byStripe[gi].agg;
-        const double alpha =
-            static_cast<double>(G - 1) / (disks - 1);
+        const CampaignAggregate &agg = aggs[gi];
         const double pMeas = agg.lossRate();
-        const double ci = binomialCiHalfWidth(pMeas, agg.windows);
         const double pModel = windowLossProbability(
             mtbfSec, disks - 1, agg.meanReconSec());
-        const double tHat =
-            pMeas < 1.0 ? impliedWindowSec(pMeas, mtbfSec, disks - 1)
-                        : 0.0;
-        const double mttdlMeas =
-            mttdlFromLossProbability(mtbfSec, disks, pMeas) / 3600.0;
-        const double mttdlModel =
-            mttdlFromLossProbability(mtbfSec, disks, pModel) / 3600.0;
-        const double paperMttdl = mttdlFromReconstruction(
-            disks, 150'000.0, agg.meanReconSec());
-        const bool agree = lossRateAgrees(pMeas, pModel, agg.windows);
-
-        table.addRow({fmtDouble(alpha, 2), std::to_string(G),
-                      std::to_string(agg.windows),
-                      std::to_string(agg.secondFailures),
-                      std::to_string(agg.losses),
-                      fmtDouble(agg.meanReconSec(), 1),
-                      fmtDouble(pMeas, 4), fmtDouble(ci, 4),
-                      fmtDouble(pModel, 4), fmtDouble(tHat, 1),
-                      fmtDouble(mttdlMeas, 1), fmtDouble(mttdlModel, 1),
-                      fmtDouble(paperMttdl, 0),
-                      agree ? "yes" : "NO"});
-
         JsonObject entry;
         entry.set("G", G)
             .set("windows", agg.windows)
@@ -262,8 +244,10 @@ run(int argc, char **argv)
                  static_cast<std::int64_t>(agg.sectorRepairs))
             .set("p_meas", pMeas)
             .set("p_model", pModel)
-            .set("agrees", agree ? 1 : 0);
-        campaign.set("g" + std::to_string(G), std::move(entry));
+            .set("agrees", lossRateAgrees(pMeas, pModel, agg.windows)
+                               ? 1
+                               : 0);
+        campaign.set("g" + std::to_string(G), entry);
     }
 
     std::cout << "Monte Carlo MTTDL campaign: " << windows

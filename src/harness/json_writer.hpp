@@ -10,28 +10,26 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 namespace declust {
 
 /**
- * Ordered JSON object: string, integer, double, or nested-object
- * fields.
+ * Ordered JSON object: string, integer, double, number-array or
+ * nested-object fields. Each value is rendered to its JSON text when
+ * set; a nested object's lines are indented by its parent on output.
  */
 class JsonObject
 {
   public:
     JsonObject &
-    set(std::string key, std::string value)
+    set(std::string key, const std::string &value)
     {
-        fields_.emplace_back(std::move(key), Value{std::move(value)});
-        return *this;
+        return add(std::move(key), '"' + escaped(value) + '"');
     }
 
     JsonObject &
@@ -43,8 +41,7 @@ class JsonObject
     JsonObject &
     set(std::string key, std::int64_t value)
     {
-        fields_.emplace_back(std::move(key), Value{value});
-        return *this;
+        return add(std::move(key), std::to_string(value));
     }
 
     JsonObject &
@@ -62,62 +59,63 @@ class JsonObject
     JsonObject &
     set(std::string key, double value)
     {
-        fields_.emplace_back(std::move(key), Value{value});
-        return *this;
+        return add(std::move(key), number(value));
     }
 
     /** Nest another object under @p key. */
     JsonObject &
-    set(std::string key, JsonObject value)
+    set(std::string key, const JsonObject &value)
     {
-        fields_.emplace_back(
-            std::move(key),
-            Value{std::make_shared<JsonObject>(std::move(value))});
-        return *this;
+        return add(std::move(key), value.render());
     }
 
     /** Flat array of numbers under @p key (e.g. per-shard walls). */
     JsonObject &
-    set(std::string key, std::vector<double> values)
+    set(std::string key, const std::vector<double> &values)
     {
-        fields_.emplace_back(std::move(key), Value{std::move(values)});
-        return *this;
+        std::string text = "[";
+        for (std::size_t i = 0; i < values.size(); ++i)
+            text += (i ? ", " : "") + number(values[i]);
+        return add(std::move(key), text + ']');
     }
 
     /** Serialize as a single pretty-printed object. */
     void
     write(std::ostream &os) const
     {
-        writeIndented(os, 0);
-        os << '\n';
+        os << render() << '\n';
     }
 
     std::string
     str() const
     {
-        std::ostringstream os;
-        write(os);
-        return os.str();
+        return render() + '\n';
     }
 
   private:
-    using Value = std::variant<std::string, std::int64_t, double,
-                               std::shared_ptr<JsonObject>,
-                               std::vector<double>>;
-
-    void
-    writeIndented(std::ostream &os, int depth) const
+    JsonObject &
+    add(std::string key, std::string text)
     {
-        const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
-        os << "{\n";
+        fields_.emplace_back(std::move(key), std::move(text));
+        return *this;
+    }
+
+    /** The object's text, its fields two spaces in, with no trailing
+     * newline; a nested value's own lines move in with its field. */
+    std::string
+    render() const
+    {
+        std::string out = "{\n";
         for (std::size_t i = 0; i < fields_.size(); ++i) {
-            os << pad << "  \"" << escaped(fields_[i].first) << "\": ";
-            writeValue(os, fields_[i].second, depth + 1);
-            if (i + 1 < fields_.size())
-                os << ',';
-            os << '\n';
+            out += "  \"" + escaped(fields_[i].first) + "\": ";
+            for (char c : fields_[i].second) {
+                out += c;
+                if (c == '\n')
+                    out += "  ";
+            }
+            out += i + 1 < fields_.size() ? ",\n" : "\n";
         }
-        os << pad << "}";
+        return out + '}';
     }
 
     static std::string
@@ -137,40 +135,16 @@ class JsonObject
         return out;
     }
 
-    static void
-    writeValue(std::ostream &os, const Value &v, int depth)
-    {
-        if (const auto *s = std::get_if<std::string>(&v)) {
-            os << '"' << escaped(*s) << '"';
-        } else if (const auto *i = std::get_if<std::int64_t>(&v)) {
-            os << *i;
-        } else if (const auto *obj =
-                       std::get_if<std::shared_ptr<JsonObject>>(&v)) {
-            (*obj)->writeIndented(os, depth);
-        } else if (const auto *arr =
-                       std::get_if<std::vector<double>>(&v)) {
-            os << '[';
-            for (std::size_t i = 0; i < arr->size(); ++i) {
-                if (i)
-                    os << ", ";
-                writeNumber(os, (*arr)[i]);
-            }
-            os << ']';
-        } else {
-            writeNumber(os, std::get<double>(v));
-        }
-    }
-
-    static void
-    writeNumber(std::ostream &os, double value)
+    static std::string
+    number(double value)
     {
         std::ostringstream num;
         num.precision(17);
         num << value;
-        os << num.str();
+        return num.str();
     }
 
-    std::vector<std::pair<std::string, Value>> fields_;
+    std::vector<std::pair<std::string, std::string>> fields_;
 };
 
 } // namespace declust

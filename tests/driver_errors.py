@@ -4,7 +4,8 @@
 A driver given a value the simulator rejects must print one line on
 stderr and exit 1. It must never end in std::terminate. Each case is one
 command line and the prefix its stderr must start with. `ablation` with
-no study or an unknown one is misuse too: one usage line, exit 1.
+no study or an unknown one is misuse too, and so is `paper` with no
+figure or an unknown one: one usage line, exit 1.
 
     python3 tests/driver_errors.py --bin-dir build/bench
 """
@@ -17,7 +18,7 @@ import sys
 CASES = (
     (["ablation", "unit_size", "--unit-sectors", "0"],
      "configuration error: "),
-    (["fig8_recon_single", "--stripes", "1"],
+    (["paper", "fig8_recon_single", "--stripes", "1"],
      "configuration error: parity stripe size G=1 must satisfy "
      "2 <= G <= C=21 (G = 2 is declustered mirroring, G = C RAID 5)\n"),
     (["ablation", "cpu_overhead", "--data-plane", "on"],
@@ -25,6 +26,9 @@ CASES = (
     (["ablation"], "usage: ablation <study> [options], <study> one of: "),
     (["ablation", "bogus"],
      "usage: ablation <study> [options], <study> one of: "),
+    (["paper"], "usage: paper <figure> [options], <figure> one of: "),
+    (["paper", "bogus"],
+     "usage: paper <figure> [options], <figure> one of: "),
 )
 
 

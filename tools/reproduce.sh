@@ -38,14 +38,19 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     case "$(basename "$b")" in
-    fig8_recon_single)
-        # Figures 8-1/8-2, then 8-3/8-4 with eight rebuild processes.
-        echo "=== $b ==="
-        # shellcheck disable=SC2086
-        "$b" $JOBS_ARGS
-        echo "=== $b --processes 8 ==="
-        # shellcheck disable=SC2086
-        "$b" --processes 8 $JOBS_ARGS
+    paper)
+        # One run per figure; its usage line names them. Figures
+        # 8-1/8-2 run again with eight rebuild processes as 8-3/8-4.
+        for figure in $("$b" 2>&1 | sed -n 's/.*one of: //p'); do
+            echo "=== $b $figure ==="
+            # shellcheck disable=SC2086
+            "$b" "$figure" $JOBS_ARGS
+            if [ "$figure" = fig8_recon_single ]; then
+                echo "=== $b $figure --processes 8 ==="
+                # shellcheck disable=SC2086
+                "$b" "$figure" --processes 8 $JOBS_ARGS
+            fi
+        done
         ;;
     ablation)
         # One run per study; its usage line names them.
